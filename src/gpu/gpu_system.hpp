@@ -27,7 +27,6 @@ namespace morpheus {
 class MorpheusController;
 class ExtendedLlc;
 class GpuSystem;
-class DomainExecutor;
 
 /** In-run fault kinds injectable through RunControls (FaultPlan). */
 enum class RunFault : std::uint8_t
@@ -89,24 +88,7 @@ struct SystemSetup
     /** Extra L1 capacity per SM (Unified-SM-Mem system), bytes. */
     std::uint64_t l1_bonus_bytes = 0;
     EnergyParams energy{};
-    /**
-     * In-run worker threads (`--run-threads N`): 0 defers to the
-     * process-wide default (default_run_threads()), 1 runs the classic
-     * serial event loop, >1 runs the domain-partitioned parallel loop.
-     * Reports are byte-identical for every value. NOT serialized into
-     * checkpoints — execution mode is a property of the process, not of
-     * simulated state, and `.mchk` files restore under either mode.
-     */
-    unsigned run_threads = 0;
 };
-
-/**
- * Process-wide default for SystemSetup::run_threads == 0: the
- * MORPHEUS_RUN_THREADS environment variable if set, else 1 (serial).
- * set_default_run_threads() overrides it (CLI `--run-threads`).
- */
-unsigned default_run_threads();
-void set_default_run_threads(unsigned n);
 
 /** Everything measured by one simulation run. */
 struct RunResult
@@ -218,36 +200,21 @@ class GpuSystem : public LlcRouter
     RunResult run(const RunControls &rc);
 
     /**
-     * @name Checkpoint/restore (docs/CHECKPOINT_FORMAT.md)
-     * begin() arms the workload and the SMs without running — the restore
-     * path uses it to replay a checkpoint prefix through event_queue()
-     * directly. save_state()/load_state() serialize the component tree in
-     * a fixed order; collect_results() derives the RunResult from the
-     * (restored) component state.
-     */
-    ///@{
-    void begin();
-    void save_state(StateWriter &w);
-    void load_state(StateReader &r);
-    RunResult collect_results() { return collect(); }
-    ///@}
-
-    /**
-     * @name Mode-aware execution (harness restore path, DomainExecutor)
-     * begin_run() arms the workload/SMs under the resolved execution
-     * mode (creating the domain executor when parallel); advance_to()
-     * runs every event with `when <= stop` under that mode. A serial
-     * checkpoint restored with begin_run()+advance_to() under a parallel
-     * mode (or vice versa) replays to byte-identical state.
+     * @name Stepwise execution and checkpoint/restore
+     * (docs/CHECKPOINT_FORMAT.md)
+     * begin_run() arms the workload and the SMs without running;
+     * advance_to() then runs every event with `when <= stop`. The restore
+     * path uses the pair to replay a checkpoint prefix.
+     * save_state()/load_state() serialize the component tree in a fixed
+     * order; collect_results() derives the RunResult from the (restored)
+     * component state.
      */
     ///@{
     void begin_run();
     void advance_to(Cycle stop, const std::atomic<bool> *cancel = nullptr);
-    /** Worker threads this system will actually use (>= 1). */
-    unsigned resolved_run_threads() const;
-    /** Conservative windows the domain executor has completed (0 when
-     *  running serially); denominator for per-window overhead probes. */
-    std::uint64_t parallel_windows() const;
+    void save_state(StateWriter &w);
+    void load_state(StateReader &r);
+    RunResult collect_results() { return collect(); }
     ///@}
 
     // LlcRouter
@@ -272,12 +239,8 @@ class GpuSystem : public LlcRouter
     ///@}
 
   private:
-    friend class DomainExecutor;
-
     RunResult collect();
     void trigger_fault(const RunControls &rc);
-    /** The serial to_llc body; the executor replays channel records here. */
-    void to_llc_direct(Cycle when, const MemRequest &req, RespFn resp);
 
     template <class A>
     void state_impl(A &ar);
@@ -296,17 +259,6 @@ class GpuSystem : public LlcRouter
     std::unique_ptr<ExtendedLlc> ext_;
     std::vector<std::unique_ptr<MorpheusController>> controllers_;
     std::vector<std::unique_ptr<Sm>> sms_;
-
-    /** @name Parallel-in-run state (null/empty in serial mode) */
-    ///@{
-    /** Per-SM domain slot; SM-side FabricContexts point at their entry.
-     *  Sized once in the constructor (stable addresses), filled by the
-     *  executor when a parallel run begins. */
-    std::vector<SimDomain *> domain_of_sm_;
-    /** Memory-side delivery hook; FabricContexts point at this slot. */
-    DomainDeliverySink *delivery_sink_ = nullptr;
-    std::unique_ptr<DomainExecutor> exec_;
-    ///@}
 };
 
 } // namespace morpheus

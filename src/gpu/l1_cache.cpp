@@ -35,7 +35,7 @@ void
 L1Cache::access(Cycle when, AccessType type, LineAddr line, std::uint64_t write_version,
                 RespFn done)
 {
-    ctx_.count_l1_bytes(kLineBytes);
+    ctx_.energy->add_l1_bytes(kLineBytes);
     const Cycle looked_up = when + latency_;
 
     switch (type) {
@@ -50,8 +50,7 @@ L1Cache::access(Cycle when, AccessType type, LineAddr line, std::uint64_t write_
       case AccessType::kWrite: {
         // Write-through, no write-allocate: update a present copy, then
         // forward to the LLC which owns the dirty data.
-        if (cache_.write(line, write_version).hit)
-            ctx_.note_version_store(line, write_version);
+        cache_.write(line, write_version);
         forward(looked_up, MemRequest{line, AccessType::kWrite, sm_index_, write_version},
                 std::move(done));
         return;
@@ -62,9 +61,10 @@ L1Cache::access(Cycle when, AccessType type, LineAddr line, std::uint64_t write_
 
     const auto result = cache_.read(line);
     if (result.hit) {
-        ctx_.sched(looked_up, [done = std::move(done), looked_up, v = result.version] {
-            done(looked_up, v);
-        });
+        ctx_.eq->schedule(looked_up,
+                          [done = std::move(done), looked_up, v = result.version] {
+                              done(looked_up, v);
+                          });
         return;
     }
 
@@ -99,8 +99,8 @@ L1Cache::forward(Cycle when, const MemRequest &req, RespFn done)
 {
     // Departure happens as an event at @p when so the NoC sees monotonic
     // reservation times.
-    ctx_.sched(when, [this, req, done = std::move(done)]() mutable {
-        router_->to_llc(ctx_.now(), req, std::move(done));
+    ctx_.eq->schedule(when, [this, req, done = std::move(done)]() mutable {
+        router_->to_llc(ctx_.eq->now(), req, std::move(done));
     });
 }
 
@@ -115,7 +115,7 @@ L1Cache::drain_replay(Cycle when)
         const auto result = cache_.read(p.line);
         if (result.hit) {
             const Cycle t = when + latency_;
-            ctx_.sched(t, [done = std::move(p.done), t, v = result.version] {
+            ctx_.eq->schedule(t, [done = std::move(p.done), t, v = result.version] {
                 done(t, v);
             });
         } else {

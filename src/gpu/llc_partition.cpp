@@ -128,10 +128,9 @@ LlcPartition::respond(Cycle when, const MemRequest &req, std::uint64_t version,
     const std::uint32_t payload = carries_data ? kLineBytes : 0;
     ctx_.energy->add_noc_bytes(payload + ctx_.noc->params().header_bytes);
     const Cycle delivered = ctx_.noc->partition_to_sm(when, index_, req.requester_sm, payload);
-    ctx_.deliver_to_sm(req.requester_sm, delivered,
-                       [resp = std::move(resp), delivered, version] {
-                           resp(delivered, version);
-                       });
+    ctx_.eq->schedule(delivered, [resp = std::move(resp), delivered, version] {
+        resp(delivered, version);
+    });
 }
 
 } // namespace morpheus

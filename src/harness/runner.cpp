@@ -54,11 +54,11 @@ restore_run(const Checkpoint &ck)
 
     if (ck.is_final()) {
         // The run had completed at capture: restore the component state
-        // directly and derive the result from it — no replay. begin()
+        // directly and derive the result from it — no replay. begin_run()
         // first so the workload and per-SM warp arrays take the shape the
         // checkpointed configuration implies; the events it schedules are
         // never executed.
-        system.begin();
+        system.begin_run();
         StateReader r(ck.state);
         system.load_state(r);
         return system.collect_results();
@@ -68,9 +68,7 @@ restore_run(const Checkpoint &ck)
     // the replayed state matches the stored blob byte for byte before
     // trusting the continuation. This is where in-flight events get
     // re-registered — by the components re-executing, not by closure
-    // serialization. begin_run()/advance_to() honor the resolved
-    // execution mode, and parallel replay is byte-identical to serial,
-    // so a `.mchk` captured under either mode restores under either.
+    // serialization.
     system.begin_run();
     system.advance_to(ck.cycle);
     StateWriter w;

@@ -221,10 +221,9 @@ MorpheusController::respond(Cycle when, const MemRequest &req, std::uint64_t ver
     ctx_.energy->add_noc_bytes(payload + ctx_.noc->params().header_bytes);
     const Cycle delivered =
         ctx_.noc->partition_to_sm(when, partition_, req.requester_sm, payload);
-    ctx_.deliver_to_sm(req.requester_sm, delivered,
-                       [resp = std::move(resp), delivered, version] {
-                           resp(delivered, version);
-                       });
+    ctx_.eq->schedule(delivered, [resp = std::move(resp), delivered, version] {
+        resp(delivered, version);
+    });
 }
 
 } // namespace morpheus

@@ -172,8 +172,10 @@ is_entry_name(const std::string &filename, std::uint64_t &key)
     // <016x>.mrce, nothing more.
     if (filename.size() != 21 || filename.compare(16, 5, ".mrce") != 0)
         return false;
+    // `end` points into `hex`, which must outlive the check.
+    const std::string hex = filename.substr(0, 16);
     char *end = nullptr;
-    key = std::strtoull(filename.substr(0, 16).c_str(), &end, 16);
+    key = std::strtoull(hex.c_str(), &end, 16);
     return end && *end == '\0';
 }
 

@@ -98,19 +98,6 @@ EventQueue::next_ring_time() const
     return now_ + ((idx - b) & kRingMask);
 }
 
-Cycle
-EventQueue::next_when() const
-{
-    // Every ring event is earlier than every spill event (the spill only
-    // holds events >= now_ + kRingCycles at the current clock), so the
-    // ring answers whenever it is non-empty.
-    if (ring_count_ > 0)
-        return next_ring_time();
-    if (!spill_.empty())
-        return spill_.top()->when;
-    return kNoEvent;
-}
-
 void
 EventQueue::refill_from_spill()
 {

@@ -130,16 +130,6 @@ class EventQueue
     /** Total number of events executed so far (for micro-benchmarks / tests). */
     std::uint64_t executed() const { return executed_; }
 
-    /** Returned by next_when() when the queue is empty. */
-    static constexpr Cycle kNoEvent = ~Cycle{0};
-
-    /** Earliest pending event time, or kNoEvent (domain executor). */
-    Cycle next_when() const;
-
-    /** Sequence number the next schedule() call will assign (the domain
-     *  executor mirrors domain events onto the spine with this). */
-    std::uint64_t next_seq_value() const { return next_seq_; }
-
     /**
      * Checkpoint state: the clock, the sequence counter, and the executed
      * count. Pending events are NOT serialized (closures are opaque);

@@ -101,7 +101,7 @@ TEST(Checkpoint, SaveLoadRoundTrip)
     const WorkloadParams p = small_app("roundtrip");
     SyntheticWorkload wl(p);
     GpuSystem sys(setup, wl);
-    sys.begin();
+    sys.begin_run();
     sys.event_queue().run_until(2'000);
     const Checkpoint ck = capture_checkpoint(sys, p, 2'000, false);
 

@@ -143,20 +143,6 @@ TEST(ResultCacheKey, SensitiveToEveryConfigAxis)
     }
 }
 
-TEST(ResultCacheKey, IgnoresExecutionMode)
-{
-    SystemSetup setup;
-    WorkloadParams params;
-    golden_config(setup, params);
-    const std::uint64_t base = result_cache_key(setup, params);
-    // run_threads changes HOW a run executes, never WHAT it computes
-    // (results are byte-identical for every value), so a serial and a
-    // parallel run share one cache entry.
-    SystemSetup threaded = setup;
-    threaded.run_threads = 7;
-    EXPECT_EQ(result_cache_key(threaded, params), base);
-}
-
 // ---------------------------------------------------------------------------
 // Store / lookup round-trips
 

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <set>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
+#include "harness/report.hpp"
+#include "harness/scenario.hpp"
 #include "harness/sweep_engine.hpp"
 #include "harness/system_config.hpp"
 
@@ -46,6 +51,28 @@ run_with_workers(unsigned workers)
     for (auto &job : job_mix())
         engine.add(job);
     return engine.run_all();
+}
+
+struct ScenarioRun
+{
+    int rc = 0;
+    std::string text;
+    RunReport report{""};
+};
+
+ScenarioRun
+run_scenario_at(const Scenario &s, unsigned jobs)
+{
+    ScenarioRun out;
+    out.report = RunReport(s.name);
+    ScenarioOptions opts;
+    opts.jobs = jobs;
+    opts.report = &out.report;
+    std::ostringstream os;
+    opts.out = &os;
+    out.rc = s.run(opts);
+    out.text = os.str();
+    return out;
 }
 
 } // namespace
@@ -152,4 +179,24 @@ TEST(SweepEngine, LabelsSurviveTheRoundTrip)
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].label, "first");
     EXPECT_EQ(results[1].label, "second");
+}
+
+TEST(SweepEngine, EveryScenarioByteIdenticalAcrossJobCounts)
+{
+    // Report bytes never depend on --jobs: every deterministic registered
+    // scenario prints the same text and records the same report at one
+    // worker and at four.
+    ASSERT_EQ(setenv("MORPHEUS_WORK_SCALE", "0.01", 1), 0);
+
+    for (const Scenario &s : scenario_registry()) {
+        const ScenarioRun serial = run_scenario_at(s, 1);
+        ASSERT_EQ(serial.rc, 0) << s.name;
+        if (!serial.report.deterministic())
+            continue; // wall-clock measurements (micro_components)
+        const ScenarioRun parallel = run_scenario_at(s, 4);
+        EXPECT_EQ(parallel.rc, serial.rc) << s.name;
+        EXPECT_EQ(parallel.text, serial.text) << s.name << " output differs at jobs=4";
+        EXPECT_TRUE(reports_identical(serial.report, parallel.report))
+            << s.name << " report differs at jobs=4";
+    }
 }

@@ -7,6 +7,8 @@
 #    replay terminates with zero instructions.
 #  - `convert` rejects malformed text with a line-numbered error and
 #    round-trips well-formed text through verify/stat.
+#  - `morpheus_cli` rejects the removed `--run-threads` flag instead of
+#    silently ignoring it.
 set -eu
 
 BUILD="$1"
@@ -58,5 +60,12 @@ fi
 grep -Eq 'format version +2' "$TMP/okstat.txt"
 grep -Eq 'workload +smoke' "$TMP/okstat.txt"
 "$BUILD/bench_trace_replay" --trace "$TMP/ok.mtrc" --jobs 1 > /dev/null
+
+# --- removed flags fail loudly ----------------------------------------------
+if "$BUILD/morpheus_cli" --scenario fig01_sm_scaling --run-threads 2 \
+    > /dev/null 2>&1; then
+    echo "morpheus_cli accepted the removed --run-threads flag" >&2
+    exit 1
+fi
 
 echo "trace_cli_smoke: OK"
