@@ -3,8 +3,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -15,16 +15,29 @@ namespace morpheus {
  * A table of Miss Status Holding Registers.
  *
  * Tracks outstanding line fetches so that concurrent misses to the same
- * line are merged onto one memory request. Each entry carries a list of
- * waiter callbacks invoked with the filled data version when the line
+ * line are merged onto one memory request. Each entry carries a FIFO of
+ * @p Waiter records (a response callback at the L1, a pending-request
+ * record at the LLC) handed back, in arrival order, when the line
  * returns.
+ *
+ * The miss path runs this table on every L1 and LLC miss, so it neither
+ * chases pointers nor allocates per miss:
+ *
+ *  - the index is an open-addressed slot array (power-of-two size,
+ *    mix64 hash, linear probing, backward-shift deletion, at most half
+ *    full), each slot holding the line and the head/tail of its waiter
+ *    list;
+ *  - waiters live in one node pool with a free list; each entry's
+ *    waiters form an intrusive singly linked FIFO through the pool.
+ *
+ * When the last entry drains, the table returns both arrays to the
+ * allocator, so a burst's high-water mark is not held for the rest of
+ * the run.
  */
+template <class Waiter>
 class MshrTable
 {
   public:
-    /** Callback invoked when the missed line's data arrives. */
-    using Waiter = std::function<void(Cycle when, std::uint64_t version)>;
-
     /**
      * @param max_entries maximum distinct outstanding lines; 0 means
      *        unbounded (used at the LLC where the paper does not model a
@@ -36,11 +49,15 @@ class MshrTable
     bool
     full() const
     {
-        return max_entries_ != 0 && entries_.size() >= max_entries_;
+        return max_entries_ != 0 && count_ >= max_entries_;
     }
 
     /** True when @p line already has an outstanding fetch. */
-    bool has(LineAddr line) const { return entries_.count(line) != 0; }
+    bool
+    has(LineAddr line) const
+    {
+        return !slots_.empty() && slots_[probe(line)].head != kNone;
+    }
 
     /**
      * Registers a miss on @p line.
@@ -51,35 +68,61 @@ class MshrTable
     bool
     allocate_or_merge(LineAddr line, Waiter waiter)
     {
-        auto it = entries_.find(line);
-        if (it != entries_.end()) {
-            it->second.push_back(std::move(waiter));
+        if (slots_.empty())
+            slots_.assign(kInitialSlots, Slot{});
+        const std::uint32_t node = new_node(std::move(waiter));
+        std::size_t s = probe(line);
+        if (slots_[s].head != kNone) {
+            nodes_[slots_[s].tail].next = node;
+            slots_[s].tail = node;
             ++merged_;
-            peak_ = std::max(peak_, entries_.size());
             return false;
         }
-        entries_[line].push_back(std::move(waiter));
+        if (2 * (count_ + 1) > slots_.size()) {
+            grow();
+            s = probe(line);
+        }
+        slots_[s] = Slot{line, node, node};
+        ++count_;
         ++allocated_;
-        peak_ = std::max(peak_, entries_.size());
+        peak_ = std::max(peak_, count_);
         return true;
     }
 
     /**
-     * Completes the fetch of @p line: removes the entry and returns its
-     * waiters (the caller invokes them after installing the fill).
+     * Completes the fetch of @p line: removes the entry, then hands each
+     * of its waiters to @p visit in arrival order. Each waiter is moved
+     * out of the pool before @p visit runs, so @p visit may allocate,
+     * merge or release on this same table (a waiter for @p line then
+     * opens a fresh entry). No-op when @p line has no entry.
      */
-    std::vector<Waiter>
-    release(LineAddr line)
+    template <class Visit>
+    void
+    release(LineAddr line, Visit &&visit)
     {
-        auto it = entries_.find(line);
-        if (it == entries_.end())
-            return {};
-        std::vector<Waiter> waiters = std::move(it->second);
-        entries_.erase(it);
-        return waiters;
+        if (slots_.empty())
+            return;
+        const std::size_t s = probe(line);
+        std::uint32_t node = slots_[s].head;
+        if (node == kNone)
+            return;
+        erase_slot(s);
+        --count_;
+        ++releasing_;
+        while (node != kNone) {
+            Waiter waiter = std::move(nodes_[node].waiter);
+            const std::uint32_t next = nodes_[node].next;
+            nodes_[node].next = free_;
+            free_ = node;
+            visit(waiter);
+            node = next;
+        }
+        --releasing_;
+        if (count_ == 0 && releasing_ == 0)
+            drop_storage();
     }
 
-    std::size_t outstanding() const { return entries_.size(); }
+    std::size_t outstanding() const { return count_; }
 
     /** @name Statistics */
     ///@{
@@ -89,7 +132,7 @@ class MshrTable
     ///@}
 
     /**
-     * Checkpoint state. Waiter closures are opaque, so the entry table is
+     * Checkpoint state. Waiters are opaque, so the entry table is
      * digest-only coverage: the writer records outstanding lines (sorted)
      * and waiter counts; the reader discards them, leaving the fresh
      * table empty. Direct restore therefore requires a drained table
@@ -101,15 +144,21 @@ class MshrTable
     state(A &ar)
     {
         if constexpr (A::kIsWriter) {
-            std::vector<LineAddr> lines;
-            lines.reserve(entries_.size());
-            for (const auto &kv : entries_)
-                lines.push_back(kv.first);
-            std::sort(lines.begin(), lines.end());
-            ar.shadow(entries_.size());
-            for (LineAddr line : lines) {
+            std::vector<std::pair<LineAddr, std::uint64_t>> entries;
+            entries.reserve(count_);
+            for (const Slot &slot : slots_) {
+                if (slot.head == kNone)
+                    continue;
+                std::uint64_t waiters = 0;
+                for (std::uint32_t n = slot.head; n != kNone; n = nodes_[n].next)
+                    ++waiters;
+                entries.emplace_back(slot.line, waiters);
+            }
+            std::sort(entries.begin(), entries.end());
+            ar.shadow(entries.size());
+            for (const auto &[line, waiters] : entries) {
                 ar.shadow(line);
-                ar.shadow(entries_.at(line).size());
+                ar.shadow(waiters);
             }
         } else {
             std::uint64_t n = 0;
@@ -127,8 +176,93 @@ class MshrTable
     }
 
   private:
+    static constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+    static constexpr std::size_t kInitialSlots = 16;
+
+    /** One index slot; empty when head == kNone. */
+    struct Slot
+    {
+        LineAddr line = 0;
+        std::uint32_t head = kNone;
+        std::uint32_t tail = kNone;
+    };
+
+    struct Node
+    {
+        Waiter waiter;
+        std::uint32_t next;
+    };
+
+    /** The slot holding @p line, or the empty slot ending its probe
+     *  chain. @pre the slot array is allocated (it is never full). */
+    std::size_t
+    probe(LineAddr line) const
+    {
+        const std::size_t mask = slots_.size() - 1;
+        std::size_t s = mix64(line) & mask;
+        while (slots_[s].head != kNone && slots_[s].line != line)
+            s = (s + 1) & mask;
+        return s;
+    }
+
+    /** Empties slot @p s, shifting later members of its probe chain
+     *  back so every chain stays gap-free (no tombstones). */
+    void
+    erase_slot(std::size_t s)
+    {
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t j = (s + 1) & mask; slots_[j].head != kNone; j = (j + 1) & mask) {
+            // Move j into the hole unless its home lies cyclically in (s, j].
+            const std::size_t home = mix64(slots_[j].line) & mask;
+            if (((j - home) & mask) >= ((j - s) & mask)) {
+                slots_[s] = slots_[j];
+                s = j;
+            }
+        }
+        slots_[s] = Slot{};
+    }
+
+    void
+    grow()
+    {
+        std::vector<Slot> old = std::move(slots_);
+        slots_.assign(2 * old.size(), Slot{});
+        for (const Slot &slot : old) {
+            if (slot.head != kNone)
+                slots_[probe(slot.line)] = slot;
+        }
+    }
+
+    std::uint32_t
+    new_node(Waiter &&waiter)
+    {
+        if (free_ == kNone) {
+            nodes_.push_back(Node{std::move(waiter), kNone});
+            return static_cast<std::uint32_t>(nodes_.size() - 1);
+        }
+        const std::uint32_t node = free_;
+        free_ = nodes_[node].next;
+        nodes_[node] = Node{std::move(waiter), kNone};
+        return node;
+    }
+
+    void
+    drop_storage()
+    {
+        slots_ = std::vector<Slot>();
+        nodes_ = std::vector<Node>();
+        free_ = kNone;
+    }
+
     std::size_t max_entries_;
-    std::unordered_map<LineAddr, std::vector<Waiter>> entries_;
+    /** Empty until the first miss and again after each drain. */
+    std::vector<Slot> slots_;
+    std::vector<Node> nodes_;
+    std::uint32_t free_ = kNone;
+    std::size_t count_ = 0;
+    /** Depth of release() calls in progress; storage is only dropped
+     *  when no release still walks a detached waiter list. */
+    std::uint32_t releasing_ = 0;
     std::uint64_t allocated_ = 0;
     std::uint64_t merged_ = 0;
     std::size_t peak_ = 0;

@@ -7,7 +7,8 @@ namespace morpheus {
 SetAssocCache::SetAssocCache(std::uint32_t sets, std::uint32_t ways, ReplacementKind repl,
                              bool hashed_index)
     : sets_(sets), ways_(ways), hashed_index_(hashed_index),
-      lines_(static_cast<std::size_t>(sets) * ways)
+      tags_(static_cast<std::size_t>(sets) * ways), versions_(tags_.size()),
+      flags_(tags_.size())
 {
     repl_.reserve(sets);
     for (std::uint32_t s = 0; s < sets; ++s)
@@ -25,9 +26,10 @@ SetAssocCache::set_index(LineAddr line) const
 int
 SetAssocCache::find_way(std::uint32_t set, LineAddr line) const
 {
+    const LineAddr *tags = tags_.data() + base(set);
+    const std::uint8_t *flags = flags_.data() + base(set);
     for (std::uint32_t w = 0; w < ways_; ++w) {
-        const Line &ln = line_at(set, w);
-        if (ln.valid && ln.line == line)
+        if (tags[w] == line && (flags[w] & kValid))
             return static_cast<int>(w);
     }
     return -1;
@@ -50,7 +52,7 @@ SetAssocCache::read(LineAddr line)
     }
     ++hits_;
     repl_[set].touch(static_cast<std::uint32_t>(way));
-    return {true, line_at(set, static_cast<std::uint32_t>(way)).version};
+    return {true, versions_[base(set) + static_cast<std::uint32_t>(way)]};
 }
 
 SetAssocCache::LookupResult
@@ -63,9 +65,9 @@ SetAssocCache::write(LineAddr line, std::uint64_t version)
         return {};
     }
     ++hits_;
-    Line &ln = line_at(set, static_cast<std::uint32_t>(way));
-    ln.dirty = true;
-    ln.version = version;
+    const std::size_t i = base(set) + static_cast<std::uint32_t>(way);
+    flags_[i] |= kDirty;
+    versions_[i] = version;
     repl_[set].touch(static_cast<std::uint32_t>(way));
     return {true, version};
 }
@@ -79,38 +81,40 @@ SetAssocCache::fill(LineAddr line, std::uint64_t version, bool dirty)
     // Refill of a line that raced back in (e.g. two MSHR-merged paths):
     // just refresh it.
     if (int way = find_way(set, line); way >= 0) {
-        Line &ln = line_at(set, static_cast<std::uint32_t>(way));
-        ln.version = std::max(ln.version, version);
-        ln.dirty = ln.dirty || dirty;
+        const std::size_t i = base(set) + static_cast<std::uint32_t>(way);
+        versions_[i] = std::max(versions_[i], version);
+        if (dirty)
+            flags_[i] |= kDirty;
         repl_[set].touch(static_cast<std::uint32_t>(way));
         return std::nullopt;
     }
 
     // Prefer an invalid way.
-    int target = -1;
+    const std::uint8_t *flags = flags_.data() + base(set);
+    std::uint32_t target = ways_;
     for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (!line_at(set, w).valid) {
-            target = static_cast<int>(w);
+        if (!(flags[w] & kValid)) {
+            target = w;
             break;
         }
     }
 
     std::optional<Eviction> evicted;
-    if (target < 0) {
-        target = static_cast<int>(repl_[set].victim());
-        Line &victim = line_at(set, static_cast<std::uint32_t>(target));
-        evicted = Eviction{victim.line, victim.dirty, victim.version};
+    if (target == ways_) {
+        target = repl_[set].victim();
+        const std::size_t v = base(set) + target;
+        const bool victim_dirty = (flags_[v] & kDirty) != 0;
+        evicted = Eviction{tags_[v], victim_dirty, versions_[v]};
         ++evictions_;
-        if (victim.dirty)
+        if (victim_dirty)
             ++writebacks_;
     }
 
-    Line &ln = line_at(set, static_cast<std::uint32_t>(target));
-    ln.line = line;
-    ln.valid = true;
-    ln.dirty = dirty;
-    ln.version = version;
-    repl_[set].insert(static_cast<std::uint32_t>(target));
+    const std::size_t i = base(set) + target;
+    tags_[i] = line;
+    flags_[i] = static_cast<std::uint8_t>(kValid | (dirty ? kDirty : 0));
+    versions_[i] = version;
+    repl_[set].insert(target);
     return evicted;
 }
 
@@ -121,10 +125,9 @@ SetAssocCache::invalidate(LineAddr line)
     const int way = find_way(set, line);
     if (way < 0)
         return std::nullopt;
-    Line &ln = line_at(set, static_cast<std::uint32_t>(way));
-    Eviction ev{ln.line, ln.dirty, ln.version};
-    ln.valid = false;
-    ln.dirty = false;
+    const std::size_t i = base(set) + static_cast<std::uint32_t>(way);
+    Eviction ev{tags_[i], (flags_[i] & kDirty) != 0, versions_[i]};
+    flags_[i] = 0;
     return ev;
 }
 

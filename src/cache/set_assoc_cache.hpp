@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "cache/replacement.hpp"
+#include "sim/state_io.hpp"
 #include "sim/types.hpp"
 
 namespace morpheus {
@@ -94,14 +95,10 @@ class SetAssocCache
     void
     flush(Sink &&sink)
     {
-        for (std::uint32_t s = 0; s < sets_; ++s) {
-            for (std::uint32_t w = 0; w < ways_; ++w) {
-                Line &ln = line_at(s, w);
-                if (ln.valid && ln.dirty)
-                    sink(ln.line, ln.version);
-                ln.valid = false;
-                ln.dirty = false;
-            }
+        for (std::size_t i = 0; i < tags_.size(); ++i) {
+            if (flags_[i] == (kValid | kDirty))
+                sink(tags_[i], versions_[i]);
+            flags_[i] = 0;
         }
     }
 
@@ -115,12 +112,30 @@ class SetAssocCache
     ///@}
 
     /** Checkpoint state: tags, replacement state, and counters. Geometry
-     *  (sets/ways/indexing) is configuration and must already match. */
+     *  (sets/ways/indexing) is configuration and must already match.
+     *  Lines are written one record at a time, (line, valid, dirty,
+     *  version), behind a line count, whatever the in-memory layout. */
     template <class A>
     void
     state(A &ar)
     {
-        ar.objs(lines_);
+        std::uint64_t n = tags_.size();
+        ar.field(n);
+        if constexpr (!A::kIsWriter) {
+            if (n != tags_.size())
+                throw StateError("state: component count mismatch (checkpoint taken "
+                                 "under a different configuration?)");
+        }
+        for (std::size_t i = 0; i < tags_.size(); ++i) {
+            bool valid = (flags_[i] & kValid) != 0;
+            bool dirty = (flags_[i] & kDirty) != 0;
+            ar.field(tags_[i]);
+            ar.field(valid);
+            ar.field(dirty);
+            ar.field(versions_[i]);
+            if constexpr (!A::kIsWriter)
+                flags_[i] = static_cast<std::uint8_t>((valid ? kValid : 0) | (dirty ? kDirty : 0));
+        }
         ar.objs(repl_);
         ar.field(hits_);
         ar.field(misses_);
@@ -130,29 +145,12 @@ class SetAssocCache
     }
 
   private:
-    struct Line
-    {
-        LineAddr line = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t version = 0;
+    /** flags_ bits. */
+    static constexpr std::uint8_t kValid = 1;
+    static constexpr std::uint8_t kDirty = 2;
 
-        template <class A>
-        void
-        state(A &ar)
-        {
-            ar.field(line);
-            ar.field(valid);
-            ar.field(dirty);
-            ar.field(version);
-        }
-    };
-
-    Line &line_at(std::uint32_t set, std::uint32_t way) { return lines_[set * ways_ + way]; }
-    const Line &line_at(std::uint32_t set, std::uint32_t way) const
-    {
-        return lines_[set * ways_ + way];
-    }
+    /** Index of (@p set, way 0) in the per-line arrays. */
+    std::size_t base(std::uint32_t set) const { return static_cast<std::size_t>(set) * ways_; }
 
     /** Finds the way holding @p line in @p set, or -1. */
     int find_way(std::uint32_t set, LineAddr line) const;
@@ -160,7 +158,12 @@ class SetAssocCache
     std::uint32_t sets_;
     std::uint32_t ways_;
     bool hashed_index_;
-    std::vector<Line> lines_;
+    // Per-line state as parallel arrays indexed set * ways + way, so a
+    // set scan reads only the tags (an invalidated line keeps its stale
+    // tag, which its checkpoint record still carries).
+    std::vector<LineAddr> tags_;
+    std::vector<std::uint64_t> versions_;
+    std::vector<std::uint8_t> flags_;
     std::vector<ReplacementState> repl_;
 
     std::uint64_t hits_ = 0;

@@ -88,8 +88,7 @@ L1Cache::start_read(Cycle when, LineAddr line, RespFn done)
             [this, line](Cycle t, std::uint64_t version) {
                 // Fill is clean: L1 is write-through.
                 cache_.fill(line, version, false);
-                for (auto &waiter : mshrs_.release(line))
-                    waiter(t, version);
+                mshrs_.release(line, [t, version](RespFn &waiter) { waiter(t, version); });
                 drain_replay(t);
             });
 }

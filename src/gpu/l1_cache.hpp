@@ -49,7 +49,7 @@ class L1Cache
     std::uint64_t hits() const { return cache_.hits(); }
     std::uint64_t misses() const { return cache_.misses(); }
     std::uint64_t capacity_bytes() const { return cache_.capacity_bytes(); }
-    const MshrTable &mshrs() const { return mshrs_; }
+    const MshrTable<RespFn> &mshrs() const { return mshrs_; }
     ///@}
 
     /**
@@ -88,7 +88,7 @@ class L1Cache
     Cycle latency_;
     std::uint32_t ways_;
     SetAssocCache cache_;
-    MshrTable mshrs_;
+    MshrTable<RespFn> mshrs_;
 
     struct Pending
     {

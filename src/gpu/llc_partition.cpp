@@ -14,7 +14,7 @@ namespace morpheus {
 LlcPartition::LlcPartition(std::uint32_t index, FabricContext ctx, std::uint32_t sets,
                            std::uint32_t ways, Cycle latency, std::uint32_t banks,
                            Cycle bank_occupancy)
-    : index_(index), ctx_(ctx), latency_(latency),
+    : index_(index), ctx_(ctx), latency_(latency), lookup_cycles_(latency),
       cache_(sets, ways, ReplacementKind::kLru, true),
       banks_(banks, 1.0 / static_cast<double>(bank_occupancy))
 {
@@ -23,7 +23,7 @@ LlcPartition::LlcPartition(std::uint32_t index, FabricContext ctx, std::uint32_t
 void
 LlcPartition::set_frequency_scale(double scale)
 {
-    freq_scale_ = scale;
+    lookup_cycles_ = static_cast<Cycle>(static_cast<double>(latency_) / scale);
 }
 
 void
@@ -34,8 +34,7 @@ LlcPartition::handle(Cycle when, const MemRequest &req, RespFn resp)
 
     // Reserve a bank, then the pipeline latency.
     const Cycle granted = banks_.acquire_keyed(when, mix64(req.line), 1);
-    const Cycle looked_up =
-        granted + static_cast<Cycle>(static_cast<double>(latency_) / freq_scale_);
+    const Cycle looked_up = granted + lookup_cycles_;
     ctx_.eq->schedule(looked_up, [this, when, req, resp = std::move(resp)]() mutable {
         lookup(when, req, std::move(resp));
     });
@@ -78,19 +77,8 @@ LlcPartition::lookup(Cycle issued, const MemRequest &req, RespFn resp)
     }
 
     // Miss path: merge into the partition MSHRs and fetch from DRAM.
-    const MemRequest miss_req = req;
-    const bool primary = mshrs_.allocate_or_merge(
-        req.line,
-        [this, issued, miss_req, resp = std::move(resp)](Cycle t, std::uint64_t version) mutable {
-            std::uint64_t out_version = version;
-            if (miss_req.type == AccessType::kWrite || miss_req.type == AccessType::kAtomic) {
-                out_version = std::max(version, miss_req.write_version);
-                cache_.write(miss_req.line, out_version);
-            }
-            miss_latency_.add(static_cast<double>(t - issued));
-            respond(t, miss_req, out_version,
-                    miss_req.type != AccessType::kWrite, std::move(resp));
-        });
+    const bool primary =
+        mshrs_.allocate_or_merge(req.line, MissWaiter{issued, req, std::move(resp)});
     if (!primary)
         return;
 
@@ -101,8 +89,16 @@ LlcPartition::lookup(Cycle issued, const MemRequest &req, RespFn resp)
         const auto evicted = cache_.fill(line, version, false);
         if (evicted && evicted->dirty)
             dram_writeback(done, evicted->line, evicted->version);
-        for (auto &waiter : mshrs_.release(line))
-            waiter(done, version);
+        mshrs_.release(line, [this, done, version](MissWaiter &w) {
+            std::uint64_t out_version = version;
+            if (w.req.type == AccessType::kWrite || w.req.type == AccessType::kAtomic) {
+                out_version = std::max(version, w.req.write_version);
+                cache_.write(w.req.line, out_version);
+            }
+            miss_latency_.add(static_cast<double>(done - w.issued));
+            respond(done, w.req, out_version, w.req.type != AccessType::kWrite,
+                    std::move(w.resp));
+        });
     });
 }
 

@@ -79,6 +79,14 @@ class LlcPartition
     }
 
   private:
+    /** A request parked on an outstanding miss until the line returns. */
+    struct MissWaiter
+    {
+        Cycle issued = 0;
+        MemRequest req;
+        RespFn resp;
+    };
+
     /** Performs the lookup once a bank granted service. */
     void lookup(Cycle when, const MemRequest &req, RespFn resp);
 
@@ -89,10 +97,11 @@ class LlcPartition
     std::uint32_t index_;
     FabricContext ctx_;
     Cycle latency_;
-    double freq_scale_ = 1.0;
+    /** Lookup pipeline latency under the current clock multiplier. */
+    Cycle lookup_cycles_;
     SetAssocCache cache_;
     PortPool banks_;
-    MshrTable mshrs_;
+    MshrTable<MissWaiter> mshrs_;
 
     std::uint64_t accesses_ = 0;
     Accumulator hit_latency_;

@@ -4,7 +4,9 @@
 
 namespace morpheus {
 
-DramModel::DramModel(const DramParams &params) : params_(params)
+DramModel::DramModel(const DramParams &params)
+    : params_(params), row_hit_cycles_(params.row_hit_latency),
+      row_miss_cycles_(params.row_miss_latency)
 {
     channel_bus_.resize(params_.channels,
                         ThroughputPort::from_rate(params_.bytes_per_cycle_per_channel));
@@ -21,6 +23,8 @@ void
 DramModel::set_frequency_scale(double scale)
 {
     freq_scale_ = scale;
+    row_hit_cycles_ = static_cast<Cycle>(static_cast<double>(params_.row_hit_latency) / scale);
+    row_miss_cycles_ = static_cast<Cycle>(static_cast<double>(params_.row_miss_latency) / scale);
     for (auto &bus : channel_bus_)
         bus.set_rate(params_.bytes_per_cycle_per_channel * scale);
     for (auto &bank : banks_)
@@ -44,9 +48,7 @@ DramModel::access(Cycle now, std::uint32_t channel, LineAddr line, bool is_write
     else
         ++row_misses_;
 
-    const Cycle device_latency = static_cast<Cycle>(
-        static_cast<double>(row_hit ? params_.row_hit_latency : params_.row_miss_latency) /
-        freq_scale_);
+    const Cycle device_latency = row_hit ? row_hit_cycles_ : row_miss_cycles_;
 
     // Reserve the bank slot and the data-bus burst at the (monotonic)
     // arrival time; the device latency is pipelined on top. Reserving the

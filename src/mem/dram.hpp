@@ -106,6 +106,9 @@ class DramModel
   private:
     DramParams params_;
     double freq_scale_ = 1.0;
+    /** Device latencies under the current clock multiplier. */
+    Cycle row_hit_cycles_;
+    Cycle row_miss_cycles_;
 
     std::vector<ThroughputPort> channel_bus_;
     std::vector<ThroughputPort> banks_;             // channels * banks

@@ -4,6 +4,7 @@
 
 #include "cache/set_assoc_cache.hpp"
 #include "sim/rng.hpp"
+#include "sim/state_io.hpp"
 
 using namespace morpheus;
 
@@ -148,3 +149,102 @@ TEST_P(CacheHitRate, UniformRandomHitRateTracksCapacityRatio)
 
 INSTANTIATE_TEST_SUITE_P(Footprints, CacheHitRate,
                          ::testing::Values(256u, 1024u, 2048u, 4096u));
+
+namespace {
+
+/**
+ * Drives @p cache through a fixed mix of reads, writes, clean and dirty
+ * fills, invalidates and one mid-run flush over a footprint three times
+ * its capacity, folding every observable outcome into the returned hash.
+ */
+std::uint64_t
+run_fixed_ops(SetAssocCache &cache, std::uint64_t seed)
+{
+    const std::uint64_t footprint = 3 * static_cast<std::uint64_t>(cache.sets()) * cache.ways();
+    Rng rng(seed);
+    std::uint64_t outcomes = 0;
+    const auto fold = [&](std::uint64_t v) { outcomes = mix64(outcomes ^ v); };
+    constexpr int kOps = 40'000;
+    for (int i = 0; i < kOps; ++i) {
+        const LineAddr line = rng.next_below(footprint);
+        const std::uint64_t version = static_cast<std::uint64_t>(i) + 1;
+        switch (rng.next_below(8)) {
+          case 0:
+          case 1:
+          case 2: {
+            const auto r = cache.read(line);
+            fold(r.hit ? r.version : ~0ULL);
+            if (!r.hit) {
+                const auto ev = cache.fill(line, version, false);
+                fold(ev ? (ev->line << 2) | (ev->dirty ? 2 : 0) | 1 : 0);
+            }
+            break;
+          }
+          case 3:
+          case 4: {
+            const auto r = cache.write(line, version);
+            fold(r.hit);
+            break;
+          }
+          case 5: {
+            const auto ev = cache.fill(line, version, true);
+            fold(ev ? ev->version : 0);
+            break;
+          }
+          case 6: {
+            const auto ev = cache.invalidate(line);
+            fold(ev ? ev->line ^ ev->version : 0);
+            break;
+          }
+          default:
+            fold(cache.probe(line));
+            break;
+        }
+        if (i == kOps / 2)
+            cache.flush([&](LineAddr l, std::uint64_t v) { fold(l ^ (v << 20)); });
+    }
+    return outcomes;
+}
+
+std::uint64_t
+state_digest(SetAssocCache &cache)
+{
+    StateWriter w;
+    cache.state(w);
+    return w.digest();
+}
+
+} // namespace
+
+/**
+ * Pins the checkpoint bytes (and every op outcome) of an L1-geometry and
+ * an LLC-geometry cache after a fixed op sequence, so a change to the
+ * tag-store layout cannot silently change `.mchk` contents. Update the
+ * digests only together with Checkpoint::kFormatVersion.
+ */
+TEST(SetAssocCache, CheckpointBytesArePinned)
+{
+    SetAssocCache l1(128, 8, ReplacementKind::kLru, false);  // 128 KiB, 8-way
+    SetAssocCache llc(256, 16, ReplacementKind::kLru, true); // one LLC partition
+    EXPECT_EQ(run_fixed_ops(l1, 1), 0xd2604ab48811357cULL);
+    EXPECT_EQ(state_digest(l1), 0x5878fd158a29dd9fULL);
+    EXPECT_EQ(run_fixed_ops(llc, 2), 0xf1e5d05ef1271310ULL);
+    EXPECT_EQ(state_digest(llc), 0x445e98651cea01e1ULL);
+}
+
+TEST(SetAssocCache, CheckpointRoundTripRestoresEveryLine)
+{
+    SetAssocCache src(256, 16, ReplacementKind::kLru, true);
+    run_fixed_ops(src, 3);
+    StateWriter w;
+    src.state(w);
+
+    SetAssocCache dst(256, 16, ReplacementKind::kLru, true);
+    StateReader r(w.bytes());
+    dst.state(r);
+    EXPECT_TRUE(r.done());
+    EXPECT_EQ(state_digest(dst), w.digest());
+    // The restored cache behaves identically from here on.
+    EXPECT_EQ(run_fixed_ops(dst, 4), run_fixed_ops(src, 4));
+    EXPECT_EQ(state_digest(dst), state_digest(src));
+}
