@@ -5,13 +5,10 @@
  *
  * Usage:
  *   morpheus_cli <app> [system] [compute_sms] [cache_sms]
- *                [--checkpoint FILE [--checkpoint-every N]]
- *   morpheus_cli --restore FILE
  *   morpheus_cli --list
  *   morpheus_cli --scenario <name> [--jobs N] [--format text|csv|json]
  *                [--trace FILE] [--output FILE] [--fault-plan SPEC]
- *                [--journal PATH] [--resume] [--timeout-ms N] [--retries N]
- *                [--cache-dir DIR]
+ *                [--timeout-ms N] [--retries N] [--cache-dir DIR]
  *   morpheus_cli --all [--jobs N] [--format text|csv|json]
  *                [--output-dir DIR]
  *
@@ -29,18 +26,11 @@
  * per scenario into --output-dir (the regression-gate input for
  * morpheus_bench_diff). --trace points the trace_replay scenario at a
  * specific .mtrc file (docs/TRACE_FORMAT.md; default: bench/traces/).
- * The fault-tolerance flags (--fault-plan, --journal, --resume,
- * --timeout-ms, --retries) are described in docs/ARCHITECTURE.md
- * "Reliability". --cache-dir DIR memoizes completed runs in a
- * content-addressed on-disk store so reruns are served byte-identically
- * from cache (docs/CACHE_FORMAT.md).
- *
- * App mode can snapshot the simulation: --checkpoint FILE writes a .mchk
- * checkpoint (docs/CHECKPOINT_FORMAT.md) — by default once, when the run
- * completes; --checkpoint-every N rewrites it every N cycles so a killed
- * run loses at most N cycles of progress. --restore FILE completes a run
- * from such a checkpoint; its output is bit-identical to the
- * uninterrupted run's.
+ * The fault-tolerance flags (--fault-plan, --timeout-ms, --retries) are
+ * described in docs/ARCHITECTURE.md "Reliability". --cache-dir DIR
+ * memoizes completed runs in a content-addressed on-disk store so reruns
+ * are served byte-identically from cache (docs/CACHE_FORMAT.md); a killed
+ * sweep resumes by being rerun with the same --cache-dir.
  *
  * Examples:
  *   morpheus_cli kmeans                 # kmeans on Morpheus-ALL
@@ -59,7 +49,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/checkpoint.hpp"
 #include "harness/runner.hpp"
 #include "harness/scenario.hpp"
 #include "harness/table.hpp"
@@ -176,7 +165,7 @@ parse_u32(const char *arg, const char *what, std::uint32_t &out)
     return true;
 }
 
-/** Prints the full metric table of one run (app and --restore modes). */
+/** Prints the full metric table of one run. */
 void print_result(const RunResult &r);
 
 void
@@ -184,13 +173,11 @@ usage()
 {
     std::fprintf(stderr,
                  "usage: morpheus_cli <app> [BL|IBL|IBL4X|FREQ|UNIFIED|BASIC|COMPR|MOV|ALL|"
-                 "LARGER] [compute_sms cache_sms]"
-                 " [--checkpoint FILE [--checkpoint-every N]]\n"
-                 "       morpheus_cli --restore FILE\n"
+                 "LARGER] [compute_sms cache_sms]\n"
                  "       morpheus_cli --list\n"
                  "       morpheus_cli --scenario <name> [--jobs N] [--format text|csv|json]"
-                 " [--trace FILE] [--output FILE] [--fault-plan SPEC] [--journal PATH]"
-                 " [--resume] [--timeout-ms N] [--retries N] [--cache-dir DIR]\n"
+                 " [--trace FILE] [--output FILE] [--fault-plan SPEC] [--timeout-ms N]"
+                 " [--retries N] [--cache-dir DIR]\n"
                  "       morpheus_cli --all [--jobs N] [--format text|csv|json]"
                  " [--output-dir DIR]\n"
                  "apps:");
@@ -235,24 +222,6 @@ main(int argc, char **argv)
         // sees only the trailing options.
         return scenario_all_main(argc - 1, argv + 1);
     }
-    if (std::strcmp(argv[1], "--restore") == 0) {
-        if (argc != 3) {
-            usage();
-            return 2;
-        }
-        Checkpoint ck;
-        std::string error;
-        if (!load_checkpoint(argv[2], ck, error)) {
-            std::fprintf(stderr, "%s\n", error.c_str());
-            return 1;
-        }
-        const RunResult r = restore_run(ck);
-        std::printf("%s restored from %s (cycle %llu%s)\n\n", r.workload.c_str(), argv[2],
-                    static_cast<unsigned long long>(ck.cycle),
-                    ck.is_final() ? ", final" : "");
-        print_result(r);
-        return 0;
-    }
 
     const AppSpec *app = find_app(argv[1]);
     if (!app) {
@@ -261,7 +230,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // Positionals first (system, then the SM split), flags afterwards.
+    // Positionals only: the system, then the optional SM split.
     int pos = 2;
     SystemKind kind = SystemKind::kMorpheusAll;
     if (pos < argc && argv[pos][0] != '-') {
@@ -291,41 +260,13 @@ main(int argc, char **argv)
         pos += 2;
     }
 
-    std::string checkpoint_path;
-    Cycle checkpoint_every = 0;
-    for (int i = pos; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--checkpoint") == 0 && i + 1 < argc) {
-            checkpoint_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--checkpoint-every") == 0 && i + 1 < argc) {
-            char *end = nullptr;
-            const unsigned long long v = std::strtoull(argv[i + 1], &end, 10);
-            if (end == argv[i + 1] || *end != '\0' || v == 0) {
-                std::fprintf(stderr, "invalid --checkpoint-every '%s' (expected N >= 1)\n",
-                             argv[i + 1]);
-                return 2;
-            }
-            checkpoint_every = v;
-            ++i;
-        } else {
-            suggest("argument", argv[i], {"--checkpoint", "--checkpoint-every"});
-            usage();
-            return 2;
-        }
-    }
-    if (checkpoint_every > 0 && checkpoint_path.empty()) {
-        std::fprintf(stderr, "--checkpoint-every requires --checkpoint FILE\n");
+    if (pos < argc) {
+        std::fprintf(stderr, "unexpected argument '%s'\n", argv[pos]);
+        usage();
         return 2;
     }
 
-    RunResult r;
-    if (!checkpoint_path.empty()) {
-        // Default cadence: one (final) checkpoint when the run completes.
-        const Cycle every = checkpoint_every > 0 ? checkpoint_every : setup.cfg.max_cycles;
-        r = run_setup_checkpointed(setup, app->params, every, checkpoint_path);
-    } else {
-        r = run_setup(setup, app->params);
-    }
-
+    const RunResult r = run_setup(setup, app->params);
     std::printf("%s on %s (%u compute + %u cache SMs)\n\n", app->params.name.c_str(),
                 system_name(kind), setup.compute_sms, setup.morpheus.cache_sms);
     print_result(r);

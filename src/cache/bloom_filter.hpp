@@ -83,14 +83,6 @@ class BloomFilter
     /** Storage cost in bytes, as accounted in the paper's overhead analysis. */
     std::uint32_t storage_bytes() const { return bits_ / 8; }
 
-    /** Checkpoint state: the bit array (geometry is configuration). */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        ar.vec(words_);
-    }
-
   private:
     /** Computes the bit index of probe @p i for @p key (double hashing). */
     std::uint32_t

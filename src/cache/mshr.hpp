@@ -131,50 +131,6 @@ class MshrTable
     std::size_t peak_occupancy() const { return peak_; }
     ///@}
 
-    /**
-     * Checkpoint state. Waiters are opaque, so the entry table is
-     * digest-only coverage: the writer records outstanding lines (sorted)
-     * and waiter counts; the reader discards them, leaving the fresh
-     * table empty. Direct restore therefore requires a drained table
-     * (final checkpoints); mid-run restore goes through replay, which
-     * rebuilds entries naturally. Counters restore for real.
-     */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        if constexpr (A::kIsWriter) {
-            std::vector<std::pair<LineAddr, std::uint64_t>> entries;
-            entries.reserve(count_);
-            for (const Slot &slot : slots_) {
-                if (slot.head == kNone)
-                    continue;
-                std::uint64_t waiters = 0;
-                for (std::uint32_t n = slot.head; n != kNone; n = nodes_[n].next)
-                    ++waiters;
-                entries.emplace_back(slot.line, waiters);
-            }
-            std::sort(entries.begin(), entries.end());
-            ar.shadow(entries.size());
-            for (const auto &[line, waiters] : entries) {
-                ar.shadow(line);
-                ar.shadow(waiters);
-            }
-        } else {
-            std::uint64_t n = 0;
-            ar.field(n);
-            for (std::uint64_t i = 0; i < n; ++i) {
-                ar.shadow(0);
-                ar.shadow(0);
-            }
-        }
-        ar.field(allocated_);
-        ar.field(merged_);
-        std::uint64_t peak = peak_;
-        ar.field(peak);
-        peak_ = static_cast<std::size_t>(peak);
-    }
-
   private:
     static constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
     static constexpr std::size_t kInitialSlots = 16;

@@ -64,22 +64,6 @@ class ReplacementState
     /** True when this set uses the packed-rank representation. */
     bool packed() const { return packed_; }
 
-    /** Checkpoint state; the policy kind is configuration, and so is the
-     *  representation (it is a function of kind and ways), so writer and
-     *  reader always take the same branch. Format v2: packed sets
-     *  serialize the rank word instead of the stamp vector. */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        if (packed_) {
-            ar.field(ranks_);
-        } else {
-            ar.field(clock_);
-            ar.vec(stamp_);
-        }
-    }
-
   private:
     ReplacementKind kind_;
     bool packed_;

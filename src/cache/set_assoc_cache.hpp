@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "cache/replacement.hpp"
-#include "sim/state_io.hpp"
 #include "sim/types.hpp"
 
 namespace morpheus {
@@ -111,39 +110,6 @@ class SetAssocCache
     std::uint64_t writebacks() const { return writebacks_; }
     ///@}
 
-    /** Checkpoint state: tags, replacement state, and counters. Geometry
-     *  (sets/ways/indexing) is configuration and must already match.
-     *  Lines are written one record at a time, (line, valid, dirty,
-     *  version), behind a line count, whatever the in-memory layout. */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        std::uint64_t n = tags_.size();
-        ar.field(n);
-        if constexpr (!A::kIsWriter) {
-            if (n != tags_.size())
-                throw StateError("state: component count mismatch (checkpoint taken "
-                                 "under a different configuration?)");
-        }
-        for (std::size_t i = 0; i < tags_.size(); ++i) {
-            bool valid = (flags_[i] & kValid) != 0;
-            bool dirty = (flags_[i] & kDirty) != 0;
-            ar.field(tags_[i]);
-            ar.field(valid);
-            ar.field(dirty);
-            ar.field(versions_[i]);
-            if constexpr (!A::kIsWriter)
-                flags_[i] = static_cast<std::uint8_t>((valid ? kValid : 0) | (dirty ? kDirty : 0));
-        }
-        ar.objs(repl_);
-        ar.field(hits_);
-        ar.field(misses_);
-        ar.field(fills_);
-        ar.field(evictions_);
-        ar.field(writebacks_);
-    }
-
   private:
     /** flags_ bits. */
     static constexpr std::uint8_t kValid = 1;
@@ -160,7 +126,7 @@ class SetAssocCache
     bool hashed_index_;
     // Per-line state as parallel arrays indexed set * ways + way, so a
     // set scan reads only the tags (an invalidated line keeps its stale
-    // tag, which its checkpoint record still carries).
+    // tag, so a match also checks the valid flag).
     std::vector<LineAddr> tags_;
     std::vector<std::uint64_t> versions_;
     std::vector<std::uint8_t> flags_;

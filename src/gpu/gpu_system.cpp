@@ -8,7 +8,6 @@
 
 #include "morpheus/address_separator.hpp"
 #include "morpheus/morpheus_controller.hpp"
-#include "sim/state_io.hpp"
 
 namespace morpheus {
 
@@ -131,23 +130,7 @@ GpuSystem::run(const RunControls &rc)
     if (rc.fault != RunFault::kNone && rc.fault_cycle > 0)
         eq_.schedule(rc.fault_cycle, [this, &rc] { trigger_fault(rc); });
 
-    const Cycle target = setup_.cfg.max_cycles;
-    if (rc.checkpoint_every == 0) {
-        advance_to(target, rc.cancel);
-    } else {
-        // Chunked execution is bit-identical to one run_until(target):
-        // nothing enqueues between chunks, and run_until leaves now() at
-        // the last executed event.
-        for (Cycle boundary = rc.checkpoint_every;; boundary += rc.checkpoint_every) {
-            const Cycle stop = std::min(boundary, target);
-            advance_to(stop, rc.cancel);
-            const bool final = eq_.empty();
-            if (rc.on_checkpoint)
-                rc.on_checkpoint(*this, stop, final);
-            if (final || stop == target)
-                break;
-        }
-    }
+    advance_to(setup_.cfg.max_cycles, rc.cancel);
     return collect();
 }
 
@@ -168,45 +151,6 @@ GpuSystem::trigger_fault(const RunControls &rc)
     case RunFault::kNone:
         break;
     }
-}
-
-template <class A>
-void
-GpuSystem::state_impl(A &ar)
-{
-    // Fixed traversal order — this IS the .mchk state layout. Keep in
-    // sync with docs/CHECKPOINT_FORMAT.md.
-    ar.obj(eq_);
-    ar.obj(energy_);
-    ar.obj(noc_);
-    ar.obj(dram_);
-    ar.obj(store_);
-    for (auto &part : partitions_)
-        part->state(ar);
-    if (ext_)
-        ext_->state(ar);
-    for (auto &ctl : controllers_)
-        ctl->state(ar);
-    for (auto &sm : sms_)
-        sm->state(ar);
-    if constexpr (A::kIsWriter)
-        workload_.checkpoint_state(ar);
-    else
-        workload_.restore_state(ar);
-}
-
-void
-GpuSystem::save_state(StateWriter &w)
-{
-    state_impl(w);
-}
-
-void
-GpuSystem::load_state(StateReader &r)
-{
-    state_impl(r);
-    if (!r.done())
-        throw StateError("checkpoint: trailing bytes after component state");
 }
 
 RunResult

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -26,7 +25,6 @@ namespace morpheus {
 
 class MorpheusController;
 class ExtendedLlc;
-class GpuSystem;
 
 /** In-run fault kinds injectable through RunControls (FaultPlan). */
 enum class RunFault : std::uint8_t
@@ -45,21 +43,13 @@ class InjectedFault : public std::runtime_error
 };
 
 /**
- * Optional controls for GpuSystem::run: periodic checkpoint capture,
- * cooperative cancellation (watchdog timeouts), and deterministic in-run
- * fault injection. Default-constructed controls reproduce the plain run()
- * byte for byte — the chunked event loop is bit-identical to an unchunked
- * one, and the cancel poll only adds atomic loads.
+ * Optional controls for GpuSystem::run: cooperative cancellation
+ * (watchdog timeouts) and deterministic in-run fault injection.
+ * Default-constructed controls reproduce the plain run() byte for byte —
+ * the cancel poll only adds atomic loads.
  */
 struct RunControls
 {
-    /** Capture a checkpoint every N cycles (0 = never). */
-    Cycle checkpoint_every = 0;
-
-    /** Called at each checkpoint boundary; @p final is true when the run
-     *  completed (event queue drained) at or before the boundary. */
-    std::function<void(GpuSystem &sys, Cycle boundary, bool final)> on_checkpoint;
-
     /** Cooperative cancellation token (see EventQueue::run_until). */
     const std::atomic<bool> *cancel = nullptr;
 
@@ -136,8 +126,8 @@ struct RunResult
     double avg_watts = 0;
     double perf_per_watt = 0;  ///< IPC / W
 
-    /** Serialization for the sweep journal (resume after SIGKILL): every
-     *  field travels, doubles as bit patterns, so a journaled result is
+    /** Serialization for the result cache's .mrce payload: every field
+     *  travels, doubles as bit patterns, so a cached result is
      *  byte-identical to a recomputed one. */
     template <class A>
     void
@@ -196,24 +186,20 @@ class GpuSystem : public LlcRouter
     /** Runs the workload to completion and gathers all statistics. */
     RunResult run();
 
-    /** run() with checkpoint/cancellation/fault controls. */
+    /** run() with cancellation/fault controls. */
     RunResult run(const RunControls &rc);
 
     /**
-     * @name Stepwise execution and checkpoint/restore
-     * (docs/CHECKPOINT_FORMAT.md)
+     * @name Stepwise execution
      * begin_run() arms the workload and the SMs without running;
-     * advance_to() then runs every event with `when <= stop`. The restore
-     * path uses the pair to replay a checkpoint prefix.
-     * save_state()/load_state() serialize the component tree in a fixed
-     * order; collect_results() derives the RunResult from the (restored)
-     * component state.
+     * advance_to() then runs every event with `when <= stop`, and
+     * collect_results() derives the RunResult from the component state.
+     * Advancing in windows is bit-identical to one run() (perfbench's
+     * traced runs sample between windows).
      */
     ///@{
     void begin_run();
     void advance_to(Cycle stop, const std::atomic<bool> *cancel = nullptr);
-    void save_state(StateWriter &w);
-    void load_state(StateReader &r);
     RunResult collect_results() { return collect(); }
     ///@}
 
@@ -241,9 +227,6 @@ class GpuSystem : public LlcRouter
   private:
     RunResult collect();
     void trigger_fault(const RunControls &rc);
-
-    template <class A>
-    void state_impl(A &ar);
 
     SystemSetup setup_;
     Workload &workload_;

@@ -52,29 +52,6 @@ class L1Cache
     const MshrTable<RespFn> &mshrs() const { return mshrs_; }
     ///@}
 
-    /**
-     * Checkpoint state. The replay queue holds response closures, so it
-     * is digest-only (size + line addresses); it is empty at any final
-     * checkpoint and rebuilt by replay otherwise.
-     */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        ar.obj(cache_);
-        ar.obj(mshrs_);
-        if constexpr (A::kIsWriter) {
-            ar.shadow(replay_queue_.size());
-            for (const Pending &p : replay_queue_)
-                ar.shadow(p.line);
-        } else {
-            std::uint64_t n = 0;
-            ar.field(n);
-            for (std::uint64_t i = 0; i < n; ++i)
-                ar.shadow(0);
-        }
-    }
-
   private:
     void start_read(Cycle when, LineAddr line, RespFn done);
     void drain_replay(Cycle when);

@@ -65,19 +65,6 @@ class LlcPartition
     const Accumulator &miss_latency() const { return miss_latency_; }
     ///@}
 
-    /** Checkpoint state. */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        ar.obj(cache_);
-        ar.obj(banks_);
-        ar.obj(mshrs_);
-        ar.field(accesses_);
-        ar.obj(hit_latency_);
-        ar.obj(miss_latency_);
-    }
-
   private:
     /** A request parked on an outstanding miss until the line returns. */
     struct MissWaiter

@@ -49,51 +49,6 @@ class Sm
     std::uint64_t issue_events() const { return issue_events_; }
     ///@}
 
-    /**
-     * Checkpoint state. The ready heap is drained to a sorted list on
-     * write and re-pushed on read: (when, warp) is a total order, so the
-     * rebuilt heap pops identically to the original. Armed issue events
-     * live in the EventQueue and are re-created by replay, not restored.
-     */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        ar.objs(warps_);
-        if constexpr (A::kIsWriter) {
-            auto copy = ready_;
-            std::uint64_t n = copy.size();
-            ar.field(n);
-            while (!copy.empty()) {
-                ReadyEntry e = copy.top();
-                copy.pop();
-                ar.field(e.when);
-                ar.field(e.warp);
-            }
-        } else {
-            ready_ = {};
-            std::uint64_t n = 0;
-            ar.field(n);
-            for (std::uint64_t i = 0; i < n; ++i) {
-                ReadyEntry e{0, 0};
-                ar.field(e.when);
-                ar.field(e.warp);
-                ready_.push(e);
-            }
-        }
-        ar.field(live_warps_);
-        ar.vec(step_counters_);
-        ar.vec(counter_free_);
-        ar.field(issue_pending_);
-        ar.field(issue_event_at_);
-        ar.field(issue_events_);
-        ar.field(instructions_);
-        ar.field(mem_instructions_);
-        ar.field(finish_time_);
-        ar.obj(issue_port_);
-        ar.obj(l1_);
-    }
-
   private:
     struct ReadyEntry
     {
@@ -123,14 +78,6 @@ class Sm
         std::uint32_t inflight_steps = 0;
         /** True when the warp stalled on exhausted memory credits. */
         bool credit_blocked = false;
-
-        template <class A>
-        void
-        state(A &ar)
-        {
-            ar.field(inflight_steps);
-            ar.field(credit_blocked);
-        }
     };
     std::vector<WarpState> warps_;
     std::priority_queue<ReadyEntry, std::vector<ReadyEntry>, std::greater<>> ready_;

@@ -11,9 +11,6 @@
 
 namespace morpheus {
 
-class StateWriter;
-class StateReader;
-
 /** Static description of a workload. */
 struct WorkloadInfo
 {
@@ -96,19 +93,6 @@ class Workload
      * legitimate zero pcs — instead of synthesizing monotonic ones.
      */
     virtual bool models_pc() const { return false; }
-
-    /**
-     * @name Checkpoint hooks (docs/CHECKPOINT_FORMAT.md)
-     * Serialize/restore the workload's mutable generation state (warp
-     * cursors, RNG words). Implementations that keep no restorable state
-     * inherit the no-ops, which makes them ineligible for direct restore
-     * (replay still works). The GpuSystem state orchestration calls these
-     * in lockstep with the component tree.
-     */
-    ///@{
-    virtual void checkpoint_state(StateWriter & /*w*/) {}
-    virtual void restore_state(StateReader & /*r*/) {}
-    ///@}
 };
 
 } // namespace morpheus

@@ -7,19 +7,15 @@
  * SystemSetup and WorkloadParams, listed once as archive templates
  * (sim/state_io.hpp), so serialize and restore cannot drift apart.
  *
- * Two consumers share this encoding and MUST stay in lockstep:
- *  - the .mchk checkpoint meta blob (harness/checkpoint.cpp), which
- *    rebuilds an identical system on restore;
- *  - the result cache's content key (serve/result_cache.hpp), which
- *    hashes these bytes to memoize completed runs.
+ * The result cache's content key (serve/result_cache.hpp) hashes these
+ * bytes to memoize completed runs.
  *
- * Because the byte stream doubles as a cache identity, its stability is
- * part of the on-disk format: reordering fields, adding a knob, or
- * changing a width is a FORMAT CHANGE. Bump Checkpoint::kFormatVersion
- * and kResultCacheVersion together when you touch these templates —
- * tests/test_result_cache.cpp pins the digest of a fixed configuration,
- * so a silent change fails loudly there instead of surfacing as stale
- * checkpoint loads or a cold cache.
+ * Because the byte stream is a cache identity, its stability is part of
+ * the on-disk format: reordering fields, adding a knob, or changing a
+ * width is a FORMAT CHANGE. Bump kResultCacheVersion when you touch
+ * these templates — tests/test_result_cache.cpp pins the digest of a
+ * fixed configuration, so a silent change fails loudly there instead of
+ * surfacing as a cold cache.
  */
 
 #include "gpu/gpu_system.hpp"

@@ -21,30 +21,11 @@ RunResult run_workload(const SystemSetup &setup, Workload &workload);
 RunResult run_setup(const SystemSetup &setup, const WorkloadParams &params);
 
 /**
- * run_setup with RunControls (checkpoint capture, cancellation, fault
- * injection). Default controls are byte-identical to run_setup.
+ * run_setup with RunControls (cancellation, fault injection). Default
+ * controls are byte-identical to run_setup.
  */
 RunResult run_setup_controlled(const SystemSetup &setup, const WorkloadParams &params,
                                const RunControls &rc);
-
-/**
- * Runs @p params on @p setup, writing a .mchk checkpoint to @p path every
- * @p every cycles (each capture overwrites the previous one; the last is
- * marked final when the run completed at that boundary).
- */
-RunResult run_setup_checkpointed(const SystemSetup &setup, const WorkloadParams &params,
-                                 Cycle every, const std::string &path);
-
-struct Checkpoint;
-
-/**
- * Completes a run from checkpoint @p ck (docs/CHECKPOINT_FORMAT.md):
- * final checkpoints restore state directly; mid-run checkpoints replay
- * cycles [0, ck.cycle], verify byte-identical state against the stored
- * blob (throws StateError on mismatch), and continue to completion. The
- * returned RunResult is bit-identical to the uninterrupted run's.
- */
-RunResult restore_run(const Checkpoint &ck);
 
 /** Runs @p app on system @p kind (Table 3 SM splits applied). */
 RunResult run_system(SystemKind kind, const AppSpec &app);

@@ -230,10 +230,6 @@ parse_scenario_flags(int argc, char **argv, const char *path_flag, ScenarioOptio
                 std::fprintf(stderr, "%s\n", error.c_str());
                 return false;
             }
-        } else if (std::strcmp(argv[i], "--journal") == 0 && i + 1 < argc) {
-            opts.journal_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--resume") == 0) {
-            opts.resume = true;
         } else if (std::strcmp(argv[i], "--timeout-ms") == 0 && i + 1 < argc) {
             if (!parse_u64_value(argv[++i], "--timeout-ms", opts.timeout_ms))
                 return false;
@@ -247,22 +243,17 @@ parse_scenario_flags(int argc, char **argv, const char *path_flag, ScenarioOptio
         } else if (std::strcmp(argv[i], path_flag) == 0 && i + 1 < argc) {
             path = argv[++i];
         } else {
-            const char *known[] = {"--jobs",       "--format",  "--trace",
-                                   "--fault-plan", "--journal", "--resume",
-                                   "--timeout-ms", "--retries", "--cache-dir",
-                                   path_flag};
+            const char *known[] = {"--jobs",       "--format",     "--trace",
+                                   "--fault-plan", "--timeout-ms", "--retries",
+                                   "--cache-dir",  path_flag};
             suggest_flag(argv[i], known, sizeof(known) / sizeof(known[0]));
             std::fprintf(stderr,
                          "usage: %s [--jobs N] [--format text|csv|json] "
-                         "[--trace FILE] [--fault-plan SPEC] [--journal PATH] [--resume] "
-                         "[--timeout-ms N] [--retries N] [--cache-dir DIR] [%s PATH]\n",
+                         "[--trace FILE] [--fault-plan SPEC] [--timeout-ms N] "
+                         "[--retries N] [--cache-dir DIR] [%s PATH]\n",
                          argv[0], path_flag);
             return false;
         }
-    }
-    if (opts.resume && opts.journal_path.empty()) {
-        std::fprintf(stderr, "--resume requires --journal PATH\n");
-        return false;
     }
     return true;
 }

@@ -38,13 +38,10 @@ struct ScenarioOptions
     std::string trace_path;
 
     /** @name Fault tolerance (SweepEngine::configure)
-     * `--fault-plan SPEC`, `--journal PATH`, `--resume`,
-     * `--timeout-ms N`, `--retries N`.
+     * `--fault-plan SPEC`, `--timeout-ms N`, `--retries N`.
      */
     ///@{
     FaultPlan fault;
-    std::string journal_path;
-    bool resume = false;
     std::uint64_t timeout_ms = 0;
     unsigned retries = 1;
     ///@}

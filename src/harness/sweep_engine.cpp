@@ -4,11 +4,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "harness/report.hpp"
 #include "harness/scenario.hpp"
-#include "harness/sweep_journal.hpp"
 
 namespace morpheus {
 
@@ -57,8 +55,6 @@ SweepEngine::configure(const ScenarioOptions &opts)
     report_ = opts.report;
     SweepConfig cfg;
     cfg.fault = opts.fault;
-    cfg.journal_path = opts.journal_path;
-    cfg.resume = opts.resume;
     cfg.timeout_ms = opts.timeout_ms;
     cfg.retries = opts.retries;
     cfg.tolerant = true;
@@ -137,37 +133,13 @@ SweepEngine::run_all()
 {
     const std::size_t n = jobs_.size();
 
-    // Crash recovery: journaled results replay verbatim — the journal
-    // payload is the bit-exact RunResult, so a resumed sweep's report is
-    // byte-identical to an uninterrupted one.
-    std::unordered_map<std::size_t, RunResult> journaled;
-    if (config_.resume && !config_.journal_path.empty()) {
-        std::vector<SweepJournalEntry> entries;
-        std::string error;
-        if (!load_sweep_journal(config_.journal_path, entries, error))
-            throw std::runtime_error(error);
-        for (auto &e : entries) {
-            if (e.index < n && jobs_[e.index].label == e.label)
-                journaled.emplace(e.index, std::move(e.result));
-        }
-    }
-
-    SweepJournalWriter writer;
-    if (!config_.journal_path.empty()) {
-        std::string error;
-        if (!writer.open(config_.journal_path, error))
-            throw std::runtime_error(error);
-    }
-
     std::vector<JobSlot> slots(n);
     const std::size_t fault_idx =
         config_.fault.active() ? config_.fault.resolve_index(n) : static_cast<std::size_t>(-1);
 
     for (std::size_t i = 0; i < n; ++i) {
-        pool_.submit(jobs_[i].label, [this, i, fault_idx, &slots, &journaled, &writer] {
+        pool_.submit(jobs_[i].label, [this, i, fault_idx, &slots] {
             const SweepJob &job = jobs_[i];
-            if (auto it = journaled.find(i); it != journaled.end())
-                return it->second;
             JobSlot &slot = slots[i];
             for (unsigned attempt = 0;; ++attempt) {
                 slot.cancel.store(false);
@@ -223,7 +195,6 @@ SweepEngine::run_all()
                             ? config_.store->get_or_run(job.setup, job.params, attempt_run)
                             : attempt_run();
                     slot.deadline_ms.store(-1);
-                    writer.append(i, job.label, r);
                     return r;
                 } catch (const SimulationCancelled &) {
                     slot.deadline_ms.store(-1);

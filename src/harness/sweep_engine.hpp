@@ -185,9 +185,9 @@ bool run_results_identical(const RunResult &a, const RunResult &b);
 /**
  * A memoizing result store the engine can consult before simulating
  * (serve/result_cache.hpp implements it as an on-disk content-addressed
- * cache keyed by the canonical (SystemSetup, WorkloadParams) bytes —
- * a generalization of the journal's positional (index, label) key to a
- * content key, so hits survive sweep reordering and cross sweeps).
+ * cache keyed by the canonical (SystemSetup, WorkloadParams) bytes, so
+ * hits survive sweep reordering and cross sweeps). Rerunning a killed
+ * sweep against the same store is how it resumes.
  *
  * Contract: get_or_run() returns either a stored result for exactly this
  * configuration or the value of @p run (storing it for next time), and a
@@ -213,9 +213,9 @@ class ResultStore
  * across every sweep that shares it. The serve daemon hands one gate to
  * all in-flight sweeps so N admitted requests × M workers each cannot
  * oversubscribe the host: workers park here right before simulating
- * (cache hits and journal replays never wait — they do no simulation
- * work). Permit waits do not consume the watchdog budget: the attempt
- * deadline is re-armed after acquisition (sweep_engine.cpp).
+ * (cache hits never wait — they do no simulation work). Permit waits
+ * do not consume the watchdog budget: the attempt deadline is re-armed
+ * after acquisition (sweep_engine.cpp).
  */
 class ConcurrencyGate
 {
@@ -267,18 +267,12 @@ class ConcurrencyGate
 /**
  * Fault-tolerance knobs of one sweep (docs/ARCHITECTURE.md
  * "Reliability"). Default-constructed config reproduces the classic
- * engine: no journal, no watchdog, exceptions rethrown.
+ * engine: no watchdog, exceptions rethrown.
  */
 struct SweepConfig
 {
     /** Deterministic fault injection (tests, CI drills). */
     FaultPlan fault;
-
-    /** Append-only completion journal; empty disables journaling. */
-    std::string journal_path;
-
-    /** Skip jobs already recorded in the journal (crash recovery). */
-    bool resume = false;
 
     /** Per-attempt wall-clock watchdog; 0 disables. A run past its
      *  deadline is cancelled cooperatively (SimulationCancelled). */
@@ -311,10 +305,10 @@ struct SweepConfig
  * deterministic and identical for any worker count.
  *
  * With a SweepConfig attached the engine is fault-tolerant: each job
- * gets a retry budget and a wall-clock watchdog, completed jobs are
- * journaled so a killed sweep resumes where it stopped, and (in tolerant
- * mode) a job that fails every attempt degrades to a `failed` report
- * entry instead of sinking the whole sweep.
+ * gets a retry budget and a wall-clock watchdog, and (in tolerant mode)
+ * a job that fails every attempt degrades to a `failed` report entry
+ * instead of sinking the whole sweep. With a ResultStore attached, a
+ * killed sweep resumes by being run again: finished jobs are hits.
  */
 class SweepEngine
 {
@@ -337,7 +331,7 @@ class SweepEngine
     const SweepConfig &config() const { return config_; }
 
     /** set_report + set_config from the shared scenario options: report
-     *  sink, fault plan, journal/resume, watchdog, retry budget; scenario
+     *  sink, fault plan, result store, watchdog, retry budget; scenario
      *  sweeps run tolerant (a failed grid point degrades the report and
      *  the exit code instead of aborting the figure). */
     void configure(const ScenarioOptions &opts);

@@ -45,16 +45,6 @@ class BackingStore
     std::uint64_t writes() const { return writes_; }
     std::size_t resident_lines() const { return versions_.size(); }
 
-    /** Checkpoint state; the version map serializes in sorted key order. */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        ar.map_sorted(versions_);
-        ar.field(version_clock_);
-        ar.field(writes_);
-    }
-
   private:
     std::unordered_map<LineAddr, std::uint64_t> versions_;
     std::uint64_t version_clock_ = 0;

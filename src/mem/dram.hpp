@@ -86,23 +86,6 @@ class DramModel
     const Accumulator &service_latency() const { return service_latency_; }
     ///@}
 
-    /** Checkpoint state: bus/bank reservations, row buffers, counters. */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        ar.objs(channel_bus_);
-        ar.objs(banks_);
-        ar.vec(open_row_);
-        ar.vec(row_valid_);
-        ar.field(reads_);
-        ar.field(writes_);
-        ar.field(bytes_);
-        ar.field(row_hits_);
-        ar.field(row_misses_);
-        ar.obj(service_latency_);
-    }
-
   private:
     DramParams params_;
     double freq_scale_ = 1.0;

@@ -127,18 +127,6 @@ class ExtSet
         CompLevel slot_level = CompLevel::kUncompressed;  ///< slot occupied
         CompLevel data_level = CompLevel::kUncompressed;  ///< actual compressibility
         std::uint64_t stamp = 0;
-
-        template <class A>
-        void
-        state(A &ar)
-        {
-            ar.field(line);
-            ar.field(version);
-            ar.field(dirty);
-            ar.field(slot_level);
-            ar.field(data_level);
-            ar.field(stamp);
-        }
     };
 
     struct Evicted
@@ -189,35 +177,6 @@ class ExtSet
     }
     std::uint64_t bypasses() const { return bypasses_; }
     ///@}
-
-    /**
-     * Checkpoint state. The tag mirror and occupancy-filter buckets are
-     * derived from entries_ and rebuilt on restore rather than stored.
-     */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        ar.field(next_epoch_);
-        ar.field(clock_);
-        ar.dyn_objs(entries_);
-        if constexpr (!A::kIsWriter) {
-            tags_.clear();
-            for (auto &c : bucket_count_)
-                c = 0;
-            for (const Entry &e : entries_) {
-                tags_.push_back(e.line);
-                ++bucket_count_[bucket(e.line)];
-            }
-        }
-        for (std::size_t i = 0; i < 3; ++i) {
-            ar.field(alloc_[i]);
-            ar.field(used_[i]);
-            ar.field(demand_[i]);
-            ar.field(inserted_[i]);
-        }
-        ar.field(bypasses_);
-    }
 
   private:
     const Entry *find(LineAddr line) const;
@@ -339,47 +298,6 @@ class CacheModeSm
     const Accumulator &transfer_time() const { return transfer_time_; }
     std::uint64_t comp_insertions(CompLevel level) const;
     ///@}
-
-    /**
-     * Checkpoint state. Per-set task queues hold completion closures, so
-     * they are digest-only (size + head line address per task); they are
-     * empty at any final checkpoint and rebuilt by replay otherwise.
-     */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        ar.obj(issue_port_);
-        ar.shadow(sets_.size());
-        for (auto &ws : sets_) {
-            ar.obj(ws.set);
-            if constexpr (A::kIsWriter) {
-                ar.shadow(ws.queue.size());
-                for (const Task &t : ws.queue)
-                    ar.shadow(t.req.line);
-            } else {
-                std::uint64_t n = 0;
-                ar.field(n);
-                for (std::uint64_t i = 0; i < n; ++i)
-                    ar.shadow(0);
-            }
-            ar.field(ws.busy);
-            ar.field(ws.head_active);
-            ar.field(ws.tasks);
-            ar.field(ws.busy_cycles);
-            ar.field(ws.service_began);
-        }
-        ar.field(served_);
-        ar.field(hits_);
-        ar.field(misses_);
-        ar.field(insert_tasks_);
-        ar.field(merged_requests_);
-        ar.field(kernel_instructions_);
-        ar.obj(service_time_);
-        ar.obj(queue_wait_);
-        ar.obj(queue_depth_);
-        ar.obj(transfer_time_);
-    }
 
   private:
     struct Task

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "cache/bloom_filter.hpp"
-#include "sim/state_io.hpp"
 #include "sim/types.hpp"
 
 namespace morpheus {
@@ -39,8 +38,8 @@ const char *prediction_mode_name(PredictionMode mode);
  * word array — BF1 in the first half, BF2 in the second. At the paper's
  * nominal 256-bit sizing the pair packs into one 64-byte cache line, and
  * an access mixes the key once instead of once per filter operation.
- * Bit positions, predictions, and checkpoint bytes are identical to the
- * former two-BloomFilter layout.
+ * Bit positions and predictions are identical to the former
+ * two-BloomFilter layout.
  */
 class DualBloomPredictor
 {
@@ -114,34 +113,6 @@ class DualBloomPredictor
     nominal_storage_bytes()
     {
         return 2 * BloomFilter::kDefaultBits / 8;
-    }
-
-    /** Checkpoint state: both filters plus the MRU counter. The swap
-     *  threshold is included because compression retunes it at runtime.
-     *  Serialized as the two separate word vectors of the pre-fusion
-     *  layout, so existing .mchk files restore unchanged. */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        const std::size_t half = fused_.size() / 2;
-        std::vector<std::uint64_t> bf1(fused_.begin(),
-                                       fused_.begin() + static_cast<std::ptrdiff_t>(half));
-        std::vector<std::uint64_t> bf2(fused_.begin() + static_cast<std::ptrdiff_t>(half),
-                                       fused_.end());
-        ar.vec(bf1);
-        ar.vec(bf2);
-        ar.field(n_);
-        ar.field(associativity_);
-        ar.field(swaps_);
-        if constexpr (!A::kIsWriter) {
-            if (bf1.size() != half || bf2.size() != half)
-                throw StateError("DualBloomPredictor: filter size mismatch "
-                                 "(checkpoint from a different configuration?)");
-            std::copy(bf1.begin(), bf1.end(), fused_.begin());
-            std::copy(bf2.begin(), bf2.end(),
-                      fused_.begin() + static_cast<std::ptrdiff_t>(half));
-        }
     }
 
   private:

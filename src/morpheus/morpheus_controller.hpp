@@ -83,17 +83,6 @@ class ExtendedLlc
     std::uint64_t comp_insertions(CompLevel level) const;
     ///@}
 
-    /** Checkpoint state: every cache-mode SM and every set predictor. */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        ar.shadow(sms_.size());
-        for (auto &sm : sms_)
-            sm->state(ar);
-        ar.objs(predictors_);
-    }
-
   private:
     FabricContext ctx_;
     ExtLlcParams params_;
@@ -134,22 +123,6 @@ class MorpheusController
 
     /** Per-partition controller storage (Bloom filters + query logic, §7.5). */
     std::uint64_t storage_bytes() const;
-
-    /** Checkpoint state (the shared ExtendedLlc serializes separately). */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        ar.obj(query_logic_);
-        ar.field(ext_requests_);
-        ar.field(predicted_hits_);
-        ar.field(predicted_misses_);
-        ar.field(false_positives_);
-        ar.obj(ext_hit_latency_);
-        ar.obj(ext_miss_latency_);
-        ar.obj(pred_miss_latency_);
-        ar.obj(response_leg_);
-    }
 
   private:
     /** Predicted-miss fast path: DRAM direct + off-critical-path insert. */

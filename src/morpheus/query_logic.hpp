@@ -115,18 +115,6 @@ class QueryLogic
     const std::vector<std::uint64_t> &depth_histogram() const { return depth_hist_; }
     ///@}
 
-    /** Checkpoint state. */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        ar.field(outstanding_);
-        ar.field(peak_);
-        ar.field(total_requests_);
-        ar.obj(depth_);
-        ar.vec(depth_hist_);
-    }
-
   private:
     QueryLogicParams params_;
     std::uint32_t outstanding_ = 0;

@@ -79,20 +79,6 @@ class Crossbar
     }
     ///@}
 
-    /** Checkpoint state: every link's reservation clock plus counters. */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        ar.objs(sm_out_);
-        ar.objs(sm_in_);
-        ar.objs(part_out_);
-        ar.objs(part_in_);
-        ar.field(transfers_);
-        ar.field(injected_bytes_);
-        ar.obj(latency_);
-    }
-
   private:
     Cycle transfer(Cycle now, ThroughputPort &src, ThroughputPort &dst,
                    std::uint32_t payload_bytes);

@@ -59,7 +59,7 @@ struct EnergyBreakdown
                controller_j;
     }
 
-    /** Serialization for checkpoints and the sweep journal. */
+    /** Serialization inside RunResult::state (the `.mrce` payload). */
     template <class A>
     void
     state(A &ar)
@@ -116,20 +116,6 @@ class EnergyModel
     average_watts(const EnergyBreakdown &bd, Cycle elapsed)
     {
         return elapsed ? bd.total_j() / (static_cast<double>(elapsed) * 1e-9) : 0.0;
-    }
-
-    /** Checkpoint state: the accumulated dynamic energies. */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        ar.field(instr_pj_);
-        ar.field(l1_pj_);
-        ar.field(llc_pj_);
-        ar.field(dram_pj_);
-        ar.field(noc_pj_);
-        ar.field(rf_pj_);
-        ar.field(smem_pj_);
     }
 
   private:

@@ -10,10 +10,9 @@
  * string (harness/config_codec.hpp); its FNV-1a 64 digest — salted with
  * the cache format version and the report schema version — is the
  * content key, and `<key-hex>.mrce` under the cache directory holds the
- * bit-exact RunResult of that configuration. Because the payload reuses
- * RunResult::state() (the same serialization the sweep journal replays),
- * a report assembled from cache hits is byte-identical to one from
- * fresh runs.
+ * bit-exact RunResult of that configuration. Because the payload is
+ * RunResult::state() (every field, doubles as bit patterns), a report
+ * assembled from cache hits is byte-identical to one from fresh runs.
  *
  * Entries are written to a uniquely-named temp file and renamed into
  * place, so readers only ever see absent or complete entries; a writer

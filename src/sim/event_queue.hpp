@@ -130,24 +130,6 @@ class EventQueue
     /** Total number of events executed so far (for micro-benchmarks / tests). */
     std::uint64_t executed() const { return executed_; }
 
-    /**
-     * Checkpoint state: the clock, the sequence counter, and the executed
-     * count. Pending events are NOT serialized (closures are opaque);
-     * restore relies on deterministic replay or on the queue being
-     * drained — see docs/CHECKPOINT_FORMAT.md. The pending count rides
-     * along as digest-only coverage so a restore into a queue with a
-     * different in-flight population fails verification.
-     */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        ar.field(now_);
-        ar.field(next_seq_);
-        ar.field(executed_);
-        ar.shadow(pending());
-    }
-
     /** Poll period (in executed events) for the cancellation token. */
     static constexpr std::uint64_t kCancelCheckEvents = 4096;
 

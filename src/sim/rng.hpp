@@ -64,15 +64,6 @@ class Rng
     /** Bernoulli trial with probability @p p. */
     bool chance(double p) { return next_double() < p; }
 
-    /** Checkpoint state: the four xoshiro words. */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        for (auto &word : state_)
-            ar.field(word);
-    }
-
   private:
     static std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 

@@ -3,33 +3,30 @@
 
 /**
  * @file
- * Byte-oriented state archives for checkpoint/restore
- * (docs/CHECKPOINT_FORMAT.md). A component exposes ONE template member
+ * Byte-oriented state archives: the canonical configuration bytes behind
+ * the result cache key (harness/config_codec.hpp) and the RunResult
+ * payload of a `.mrce` cache entry (docs/CACHE_FORMAT.md). A type
+ * exposes ONE template member
  *
  *     template <class A> void state(A &ar);
  *
- * that lists its architectural state with ar.field()/ar.obj()/ar.vec();
- * the same function body drives both StateWriter (serialize) and
- * StateReader (restore), so the two directions cannot drift apart.
- * Direction-specific work (rebuilding derived tables, draining a
- * priority queue) is gated on `if constexpr (A::kIsWriter)`.
+ * that lists its fields with ar.field()/ar.str()/ar.obj(); the same
+ * function body drives both StateWriter (serialize) and StateReader
+ * (restore), so the two directions cannot drift apart.
  *
  * Encoding is fixed-width little-endian with no framing; the layout is
  * defined entirely by the order of calls, and versioning happens at the
- * enclosing container (the .mchk header). StateReader bounds-checks
- * every read and throws StateError on underflow or shape mismatch, so a
- * truncated or mismatched payload fails loudly instead of misaligning.
+ * enclosing container (the `.mrce` header). StateReader bounds-checks
+ * every read and throws StateError on underflow, so a truncated payload
+ * fails loudly instead of misaligning.
  */
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <unordered_map>
-#include <vector>
 
 namespace morpheus {
 
@@ -40,7 +37,7 @@ class StateError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** FNV-1a 64-bit digest; the .mchk integrity check over the state blob. */
+/** FNV-1a 64-bit digest; the `.mrce` payload check and the cache key hash. */
 inline std::uint64_t
 fnv1a64(const void *data, std::size_t size)
 {
@@ -63,8 +60,6 @@ fnv1a64(std::string_view bytes)
 class StateWriter
 {
   public:
-    static constexpr bool kIsWriter = true;
-
     /** Scalar member: bool, integral, enum, or double (as a bit pattern). */
     template <typename T>
     void field(const T &v)
@@ -79,71 +74,12 @@ class StateWriter
         buf_.append(s.data(), s.size());
     }
 
-    /** Vector of scalars; the reader resizes to match. */
-    template <typename T>
-    void vec(const std::vector<T> &v)
-    {
-        put_u64(v.size());
-        for (const T &x : v)
-            put_scalar(x);
-    }
-
-    void vec(const std::vector<bool> &v)
-    {
-        put_u64(v.size());
-        for (bool b : v)
-            put_scalar(b);
-    }
-
-    /** Nested component with its own state() template. */
+    /** Nested type with its own state() template. */
     template <typename T>
     void obj(T &x)
     {
         x.state(*this);
     }
-
-    /** Vector of nested components; shape is fixed by configuration, so
-     *  the reader requires an exact size match. */
-    template <typename T>
-    void objs(std::vector<T> &v)
-    {
-        put_u64(v.size());
-        for (T &x : v)
-            x.state(*this);
-    }
-
-    /** Vector of nested components whose population varies at runtime
-     *  (default-constructible elements); the reader resizes to match. */
-    template <typename T>
-    void dyn_objs(std::vector<T> &v)
-    {
-        put_u64(v.size());
-        for (T &x : v)
-            x.state(*this);
-    }
-
-    /** unordered_map with integral keys/values, serialized in sorted key
-     *  order so the byte stream is independent of hash iteration order. */
-    template <typename K, typename V>
-    void map_sorted(const std::unordered_map<K, V> &m)
-    {
-        std::vector<K> keys;
-        keys.reserve(m.size());
-        for (const auto &kv : m)
-            keys.push_back(kv.first);
-        std::sort(keys.begin(), keys.end());
-        put_u64(m.size());
-        for (const K &k : keys) {
-            put_scalar(k);
-            put_scalar(m.at(k));
-        }
-    }
-
-    /** Digest-only coverage: the writer records a computed value (a size,
-     *  a summary hash); the reader reads and discards it. Lets transient
-     *  containers participate in the integrity digest without being
-     *  restorable. */
-    void shadow(std::uint64_t v) { put_u64(v); }
 
     const std::string &bytes() const { return buf_; }
     std::uint64_t digest() const { return fnv1a64(buf_); }
@@ -183,8 +119,6 @@ class StateWriter
 class StateReader
 {
   public:
-    static constexpr bool kIsWriter = false;
-
     explicit StateReader(std::string_view bytes) : buf_(bytes) {}
 
     template <typename T>
@@ -203,75 +137,9 @@ class StateReader
     }
 
     template <typename T>
-    void vec(std::vector<T> &v)
-    {
-        const std::uint64_t n = get_u64();
-        check_count(n, sizeof(T));
-        v.resize(static_cast<std::size_t>(n));
-        for (T &x : v)
-            get_scalar(x);
-    }
-
-    void vec(std::vector<bool> &v)
-    {
-        const std::uint64_t n = get_u64();
-        check_count(n, 1);
-        v.resize(static_cast<std::size_t>(n));
-        for (std::size_t i = 0; i < v.size(); ++i) {
-            bool b = false;
-            get_scalar(b);
-            v[i] = b;
-        }
-    }
-
-    template <typename T>
     void obj(T &x)
     {
         x.state(*this);
-    }
-
-    template <typename T>
-    void objs(std::vector<T> &v)
-    {
-        const std::uint64_t n = get_u64();
-        if (n != v.size())
-            throw StateError("state: component count mismatch (checkpoint taken "
-                             "under a different configuration?)");
-        for (T &x : v)
-            x.state(*this);
-    }
-
-    template <typename T>
-    void dyn_objs(std::vector<T> &v)
-    {
-        const std::uint64_t n = get_u64();
-        check_count(n, 1);
-        v.clear();
-        v.resize(static_cast<std::size_t>(n));
-        for (T &x : v)
-            x.state(*this);
-    }
-
-    template <typename K, typename V>
-    void map_sorted(std::unordered_map<K, V> &m)
-    {
-        const std::uint64_t n = get_u64();
-        check_count(n, sizeof(K) + sizeof(V));
-        m.clear();
-        m.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i) {
-            K k{};
-            V v{};
-            get_scalar(k);
-            get_scalar(v);
-            m.emplace(k, v);
-        }
-    }
-
-    void shadow(std::uint64_t v)
-    {
-        (void)v;
-        (void)get_u64();
     }
 
     bool done() const { return pos_ == buf_.size(); }
@@ -314,12 +182,6 @@ class StateReader
             throw StateError("state: truncated payload");
         std::memcpy(p, buf_.data() + pos_, n);
         pos_ += n;
-    }
-
-    void check_count(std::uint64_t n, std::size_t elem_bytes) const
-    {
-        if (elem_bytes != 0 && n > remaining() / elem_bytes)
-            throw StateError("state: element count exceeds payload");
     }
 
     std::string_view buf_;

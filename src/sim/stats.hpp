@@ -41,18 +41,6 @@ class Accumulator
         max_ = -std::numeric_limits<double>::infinity();
     }
 
-    /** Checkpoint state (docs/CHECKPOINT_FORMAT.md). min_/max_ travel as
-     *  bit patterns, so the +/-infinity empty-state sentinels round-trip. */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        ar.field(count_);
-        ar.field(sum_);
-        ar.field(min_);
-        ar.field(max_);
-    }
-
   private:
     std::uint64_t count_ = 0;
     double sum_ = 0;
@@ -95,15 +83,6 @@ class Histogram
     double bucket_lo(std::size_t i) const
     {
         return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-    }
-
-    /** Checkpoint state; bucket bounds are configuration and stay put. */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        ar.vec(counts_);
-        ar.field(total_);
     }
 
   private:

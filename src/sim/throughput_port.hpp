@@ -79,18 +79,6 @@ class ThroughputPort
         served_units_ = 0;
     }
 
-    /** Checkpoint state (rate included: it is cheap and self-checking). */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        ar.field(next_free_);
-        ar.field(fixed_free_);
-        ar.field(milli_per_unit_);
-        ar.field(busy_fixed_);
-        ar.field(served_units_);
-    }
-
   private:
     Cycle next_free_ = 0;
     std::uint64_t fixed_free_ = 0;    // next_free in 1/1024 cycles
@@ -171,14 +159,6 @@ class PortPool
     {
         for (auto &p : ports_)
             p.reset();
-    }
-
-    /** Checkpoint state; pool size is configuration and must match. */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        ar.objs(ports_);
     }
 
   private:

@@ -41,17 +41,6 @@ struct PatternState
     std::uint64_t cursor = 0;       ///< sequential position within the slice
     std::uint64_t tile_base = 0;    ///< current tile origin (kTiledReuse)
     std::uint32_t tile_uses = 0;    ///< accesses left in the current tile
-
-    /** Checkpoint state. */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        ar.obj(rng);
-        ar.field(cursor);
-        ar.field(tile_base);
-        ar.field(tile_uses);
-    }
 };
 
 /** Geometry handed to the pattern generator for one warp. */

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "sim/state_io.hpp"
-
 namespace morpheus {
 
 SyntheticWorkload::SyntheticWorkload(const WorkloadParams &params) : params_(params)
@@ -136,39 +134,6 @@ Block
 SyntheticWorkload::synthesize_block(LineAddr line) const
 {
     return morpheus::synthesize_block(params_.data, line);
-}
-
-void
-SyntheticWorkload::checkpoint_state(StateWriter &w)
-{
-    w.field(num_sms_);
-    w.field(total_warps_);
-    w.shadow(warps_.size());
-    for (WarpCtx &ctx : warps_) {
-        ctx.state.state(w);
-        w.field(ctx.steps_left);
-    }
-}
-
-void
-SyntheticWorkload::restore_state(StateReader &r)
-{
-    // Geometry (and the warps_ shape) is derived from the params, so a
-    // fresh workload reconstructs it by re-running configure() before the
-    // dynamic per-warp fields are overlaid.
-    std::uint32_t num_sms = 0;
-    r.field(num_sms);
-    if (num_sms != num_sms_)
-        configure(num_sms);
-    r.field(total_warps_);
-    std::uint64_t count = 0;
-    r.field(count);
-    if (count != warps_.size())
-        throw StateError("workload: warp count mismatch");
-    for (WarpCtx &ctx : warps_) {
-        ctx.state.state(r);
-        r.field(ctx.steps_left);
-    }
 }
 
 } // namespace morpheus

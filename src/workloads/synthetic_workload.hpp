@@ -89,17 +89,6 @@ class SyntheticWorkload final : public Workload
     /** Total footprint (shared + all private regions), bytes. */
     std::uint64_t footprint_bytes() const;
 
-    /**
-     * @name Checkpoint hooks
-     * Serialize the dynamic per-warp state (RNG words, cursors, remaining
-     * steps). Geometry is fully derived from the params, so restore
-     * re-runs configure() and overlays the dynamic fields.
-     */
-    ///@{
-    void checkpoint_state(StateWriter &w) override;
-    void restore_state(StateReader &r) override;
-    ///@}
-
   private:
     struct WarpCtx
     {

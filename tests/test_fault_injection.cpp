@@ -1,14 +1,15 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <algorithm>
+#include <atomic>
 #include <string>
 #include <vector>
 
 #include "harness/fault_plan.hpp"
 #include "harness/report.hpp"
+#include "harness/runner.hpp"
 #include "harness/sweep_engine.hpp"
-#include "harness/sweep_journal.hpp"
+#include "sim/state_io.hpp"
 
 using namespace morpheus;
 
@@ -50,22 +51,51 @@ plan(const std::string &spec)
     return p;
 }
 
-std::string
-tmp_journal(const char *tag)
+/** A run long enough to cross many event-loop windows. */
+WorkloadParams
+small_app(const char *name)
 {
-    return std::string(::testing::TempDir()) + "morpheus_journal_" + tag + ".mjrn";
+    WorkloadParams p;
+    p.name = name;
+    p.pattern = PatternKind::kPrivateLoop;
+    p.alu_per_mem = 4;
+    p.shared_ws_bytes = 1 << 20;
+    p.per_warp_ws_bytes = 4 * 1024;
+    p.reuse_frac = 0.3;
+    p.hot_frac = 0.4;
+    p.warps_per_sm = 16;
+    p.write_frac = 0.2;
+    p.total_mem_instrs = 30'000;
+    return p;
 }
 
-class TempFile
+SystemSetup
+baseline_setup()
 {
-  public:
-    explicit TempFile(std::string path) : path_(std::move(path)) { std::remove(path_.c_str()); }
-    ~TempFile() { std::remove(path_.c_str()); }
-    const std::string &path() const { return path_; }
+    SystemSetup s;
+    s.compute_sms = 8;
+    return s;
+}
 
-  private:
-    std::string path_;
-};
+SystemSetup
+morpheus_setup()
+{
+    SystemSetup s;
+    s.compute_sms = 8;
+    s.morpheus.enabled = true;
+    s.morpheus.cache_sms = 4;
+    s.morpheus.prediction = PredictionMode::kBloom;
+    return s;
+}
+
+std::string
+result_bytes(const RunResult &r)
+{
+    StateWriter w;
+    RunResult copy = r;
+    copy.state(w);
+    return w.bytes();
+}
 
 } // namespace
 
@@ -276,154 +306,73 @@ TEST(FaultInjection, JobsOneVsManyIdenticalUnderFaults)
 }
 
 // ---------------------------------------------------------------------------
-// Journal + resume
+// RunControls and stepwise execution
 
-TEST(Journal, RoundTripAndResumeSkipsCompletedJobs)
+TEST(RunControls, DefaultControlsMatchPlainRun)
 {
-    TempFile journal(tmp_journal("resume"));
-
-    SweepEngine first(2);
-    SweepConfig cfg;
-    cfg.journal_path = journal.path();
-    first.set_config(cfg);
-    queue_jobs(first);
-    const auto expect = first.run_all();
-
-    std::vector<SweepJournalEntry> entries;
-    std::string error;
-    ASSERT_TRUE(load_sweep_journal(journal.path(), entries, error)) << error;
-    ASSERT_EQ(entries.size(), 4u);
-
-    // Resume with a poison fault plan that would sink EVERY job it
-    // actually executes: success proves the journal satisfied them all.
-    SweepEngine resumed(2);
-    SweepConfig cfg2;
-    cfg2.journal_path = journal.path();
-    cfg2.resume = true;
-    cfg2.fault = plan("throw@run=0,times=99");
-    cfg2.retries = 0;
-    resumed.set_config(cfg2);
-    queue_jobs(resumed);
-    const auto got = resumed.run_all(); // non-tolerant: would throw if any job ran
-
-    ASSERT_EQ(got.size(), expect.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].label, expect[i].label);
-        EXPECT_TRUE(run_results_identical(got[i].value, expect[i].value)) << "job " << i;
-    }
+    const SystemSetup setup = morpheus_setup();
+    const WorkloadParams p = small_app("controls");
+    const RunResult plain = run_setup(setup, p);
+    const RunResult controlled = run_setup_controlled(setup, p, RunControls{});
+    EXPECT_EQ(result_bytes(plain), result_bytes(controlled));
 }
 
-TEST(Journal, PartialJournalRunsOnlyMissingJobs)
+TEST(RunControls, CancellationThrows)
 {
-    TempFile journal(tmp_journal("partial"));
+    const SystemSetup setup = baseline_setup();
+    const WorkloadParams p = small_app("cancel");
+    std::atomic<bool> cancel{true};
+    RunControls rc;
+    rc.cancel = &cancel;
+    EXPECT_THROW(run_setup_controlled(setup, p, rc), SimulationCancelled);
+}
 
-    SweepEngine first(2);
-    SweepConfig cfg;
-    cfg.journal_path = journal.path();
-    first.set_config(cfg);
-    queue_jobs(first);
-    const auto expect = first.run_all();
+TEST(RunControls, InjectedThrowFaultFires)
+{
+    const SystemSetup setup = baseline_setup();
+    const WorkloadParams p = small_app("fault");
+    RunControls rc;
+    rc.fault = RunFault::kThrow;
+    rc.fault_cycle = 1'000;
+    EXPECT_THROW(run_setup_controlled(setup, p, rc), InjectedFault);
+}
 
-    // Simulate a crash after two completed jobs: drop journal lines.
-    std::vector<SweepJournalEntry> entries;
-    std::string error;
-    ASSERT_TRUE(load_sweep_journal(journal.path(), entries, error));
-    ASSERT_EQ(entries.size(), 4u);
-    {
-        std::ifstream in(journal.path());
-        std::string line, kept;
-        int n = 0;
-        while (std::getline(in, line) && n < 2) {
-            kept += line + "\n";
-            ++n;
+TEST(RunControls, DisarmedFaultPlanIsHarmless)
+{
+    // fault == kNone must not schedule anything, whatever fault_cycle says.
+    const SystemSetup setup = baseline_setup();
+    const WorkloadParams p = small_app("fault-none");
+    const RunResult plain = run_setup(setup, p);
+    RunControls rc;
+    rc.fault = RunFault::kNone;
+    rc.fault_cycle = 1'000;
+    EXPECT_EQ(result_bytes(run_setup_controlled(setup, p, rc)), result_bytes(plain));
+}
+
+TEST(StepwiseRun, ChunkedRunMatchesUnchunked)
+{
+    // begin_run() + advance_to() in fixed windows + collect_results() must
+    // be bit-identical to one run(): perfbench's traced runs sample the
+    // event loop between windows and count a differing result as failed.
+    for (const SystemSetup &setup : {baseline_setup(), morpheus_setup()}) {
+        const WorkloadParams p = small_app("chunked");
+        const RunResult plain = run_setup(setup, p);
+
+        SyntheticWorkload workload(p);
+        GpuSystem sys(setup, workload);
+        sys.begin_run();
+        const Cycle target = setup.cfg.max_cycles;
+        std::size_t windows = 0;
+        for (Cycle boundary = 1'000;; boundary += 1'000) {
+            const Cycle stop = std::min(boundary, target);
+            sys.advance_to(stop);
+            ++windows;
+            if (sys.event_queue().empty() || stop == target)
+                break;
         }
-        std::ofstream out(journal.path(), std::ios::trunc);
-        out << kept;
+        EXPECT_GT(windows, 1u);
+        EXPECT_EQ(result_bytes(sys.collect_results()), result_bytes(plain));
     }
-
-    SweepEngine resumed(2);
-    SweepConfig cfg2;
-    cfg2.journal_path = journal.path();
-    cfg2.resume = true;
-    resumed.set_config(cfg2);
-    queue_jobs(resumed);
-    const auto got = resumed.run_all();
-
-    for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_TRUE(run_results_identical(got[i].value, expect[i].value)) << "job " << i;
-
-    // The journal now holds the re-run jobs again (appended).
-    ASSERT_TRUE(load_sweep_journal(journal.path(), entries, error));
-    EXPECT_EQ(entries.size(), 4u);
-}
-
-TEST(Journal, TornTailLineIsDropped)
-{
-    TempFile journal(tmp_journal("torn"));
-
-    SweepEngine engine(1);
-    SweepConfig cfg;
-    cfg.journal_path = journal.path();
-    engine.set_config(cfg);
-    queue_jobs(engine);
-    engine.run_all();
-
-    // A SIGKILL mid-write leaves an unterminated or garbled tail.
-    {
-        std::ofstream out(journal.path(), std::ios::app);
-        out << "mjrn1 4 6a34 deadbee"; // no newline, odd hex
-    }
-    std::vector<SweepJournalEntry> entries;
-    std::string error;
-    ASSERT_TRUE(load_sweep_journal(journal.path(), entries, error));
-    EXPECT_EQ(entries.size(), 4u);
-
-    // Garbage in the middle ends parsing at the garbage, keeping the
-    // prefix (journals are append-only; anything after corruption is
-    // suspect).
-    {
-        std::ofstream out(journal.path(), std::ios::trunc);
-        out << "mjrn1 0 6a30 nothex\n";
-    }
-    ASSERT_TRUE(load_sweep_journal(journal.path(), entries, error));
-    EXPECT_TRUE(entries.empty());
-}
-
-TEST(Journal, MissingFileIsEmptyJournal)
-{
-    std::vector<SweepJournalEntry> entries;
-    std::string error;
-    ASSERT_TRUE(load_sweep_journal(tmp_journal("never_written"), entries, error));
-    EXPECT_TRUE(entries.empty());
-}
-
-TEST(Journal, StaleJournalFromDifferentSweepIsIgnored)
-{
-    TempFile journal(tmp_journal("stale"));
-
-    SweepEngine first(1);
-    SweepConfig cfg;
-    cfg.journal_path = journal.path();
-    first.set_config(cfg);
-    queue_jobs(first); // labels j0..j3
-    first.run_all();
-
-    // A different sweep (different labels) resuming against this journal
-    // must ignore every entry and recompute.
-    SweepEngine other(1);
-    RunReport report("other");
-    other.set_report(&report);
-    SweepConfig cfg2;
-    cfg2.journal_path = journal.path();
-    cfg2.resume = true;
-    cfg2.tolerant = true;
-    other.set_config(cfg2);
-    SystemSetup setup;
-    setup.compute_sms = 4;
-    other.add(setup, tiny_app("different"), "different-label");
-    const auto got = other.run_all();
-    ASSERT_EQ(got.size(), 1u);
-    EXPECT_GT(got[0].value.cycles, 0u); // actually ran
 }
 
 // ---------------------------------------------------------------------------

@@ -97,8 +97,8 @@ TEST(ResultCacheKey, GoldenKeyIsPinned)
     // format: it must be identical on every platform and across commits.
     // If this fails you changed the canonical config encoding
     // (harness/config_codec.hpp) or a default parameter value — that is
-    // a FORMAT CHANGE; bump kResultCacheVersion and
-    // Checkpoint::kFormatVersion, then repin (docs/CACHE_FORMAT.md).
+    // a FORMAT CHANGE; bump kResultCacheVersion, then repin
+    // (docs/CACHE_FORMAT.md).
     char hex[17];
     std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(key));
     EXPECT_EQ(std::string(hex), "b6f012deaf79a65f");

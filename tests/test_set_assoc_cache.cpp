@@ -4,7 +4,6 @@
 
 #include "cache/set_assoc_cache.hpp"
 #include "sim/rng.hpp"
-#include "sim/state_io.hpp"
 
 using namespace morpheus;
 
@@ -206,45 +205,17 @@ run_fixed_ops(SetAssocCache &cache, std::uint64_t seed)
     return outcomes;
 }
 
-std::uint64_t
-state_digest(SetAssocCache &cache)
-{
-    StateWriter w;
-    cache.state(w);
-    return w.digest();
-}
-
 } // namespace
 
 /**
- * Pins the checkpoint bytes (and every op outcome) of an L1-geometry and
- * an LLC-geometry cache after a fixed op sequence, so a change to the
- * tag-store layout cannot silently change `.mchk` contents. Update the
- * digests only together with Checkpoint::kFormatVersion.
+ * Pins every op outcome of an L1-geometry and an LLC-geometry cache over a
+ * fixed op sequence, so a change to the tag-store layout or replacement
+ * cannot silently change hit/miss, version or eviction behaviour.
  */
-TEST(SetAssocCache, CheckpointBytesArePinned)
+TEST(SetAssocCache, OpOutcomesArePinned)
 {
     SetAssocCache l1(128, 8, ReplacementKind::kLru, false);  // 128 KiB, 8-way
     SetAssocCache llc(256, 16, ReplacementKind::kLru, true); // one LLC partition
     EXPECT_EQ(run_fixed_ops(l1, 1), 0xd2604ab48811357cULL);
-    EXPECT_EQ(state_digest(l1), 0x5878fd158a29dd9fULL);
     EXPECT_EQ(run_fixed_ops(llc, 2), 0xf1e5d05ef1271310ULL);
-    EXPECT_EQ(state_digest(llc), 0x445e98651cea01e1ULL);
-}
-
-TEST(SetAssocCache, CheckpointRoundTripRestoresEveryLine)
-{
-    SetAssocCache src(256, 16, ReplacementKind::kLru, true);
-    run_fixed_ops(src, 3);
-    StateWriter w;
-    src.state(w);
-
-    SetAssocCache dst(256, 16, ReplacementKind::kLru, true);
-    StateReader r(w.bytes());
-    dst.state(r);
-    EXPECT_TRUE(r.done());
-    EXPECT_EQ(state_digest(dst), w.digest());
-    // The restored cache behaves identically from here on.
-    EXPECT_EQ(run_fixed_ops(dst, 4), run_fixed_ops(src, 4));
-    EXPECT_EQ(state_digest(dst), state_digest(src));
 }

@@ -7,8 +7,9 @@
 #    replay terminates with zero instructions.
 #  - `convert` rejects malformed text with a line-numbered error and
 #    round-trips well-formed text through verify/stat.
-#  - `morpheus_cli` rejects the removed `--run-threads` flag instead of
-#    silently ignoring it.
+#  - `morpheus_cli` rejects removed flags (`--run-threads`, the sweep
+#    journal's `--journal`/`--resume`, the checkpoint `--checkpoint`/
+#    `--restore`) instead of silently ignoring them.
 set -eu
 
 BUILD="$1"
@@ -28,7 +29,7 @@ grep -Eq 'empty streams +16' "$TMP/stat.txt"
 grep -Eq '^records +0' "$TMP/stat.txt"
 # Replay of an all-empty trace must be well-defined: warps retire
 # immediately and the run terminates cleanly.
-"$BUILD/bench_trace_replay" --trace "$TMP/empty.mtrc" --jobs 1 > /dev/null
+"$BUILD/morpheus_cli" --scenario trace_replay --trace "$TMP/empty.mtrc" --jobs 1 > /dev/null
 
 # --- converter rejects malformed input with line numbers --------------------
 printf 'warp 0 LDG.E addrs 0xZZ\n' > "$TMP/bad.trace"
@@ -59,13 +60,19 @@ fi
 "$BUILD/morpheus_trace" stat "$TMP/ok.mtrc" > "$TMP/okstat.txt"
 grep -Eq 'format version +2' "$TMP/okstat.txt"
 grep -Eq 'workload +smoke' "$TMP/okstat.txt"
-"$BUILD/bench_trace_replay" --trace "$TMP/ok.mtrc" --jobs 1 > /dev/null
+"$BUILD/morpheus_cli" --scenario trace_replay --trace "$TMP/ok.mtrc" --jobs 1 > /dev/null
 
 # --- removed flags fail loudly ----------------------------------------------
-if "$BUILD/morpheus_cli" --scenario fig01_sm_scaling --run-threads 2 \
-    > /dev/null 2>&1; then
-    echo "morpheus_cli accepted the removed --run-threads flag" >&2
-    exit 1
-fi
+rejects() {
+    if "$BUILD/morpheus_cli" "$@" > /dev/null 2>&1; then
+        echo "morpheus_cli accepted a removed flag: $*" >&2
+        exit 1
+    fi
+}
+rejects --scenario fig01_sm_scaling --run-threads 2
+rejects --scenario fig01_sm_scaling --journal "$TMP/x.mjrn"
+rejects --scenario fig01_sm_scaling --resume
+rejects kmeans --checkpoint "$TMP/x.mchk"
+rejects --restore "$TMP/x.mchk"
 
 echo "trace_cli_smoke: OK"
