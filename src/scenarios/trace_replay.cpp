@@ -1,21 +1,31 @@
 /**
  * @file
- * Trace-driven workload replay (ROADMAP "Workload realism"): feeds
- * recorded `.mtrc` address traces (docs/TRACE_FORMAT.md) through the
- * full harness. Each trace replays on two systems — a conventional
- * baseline and a Morpheus-ALL-style split — at the trace's recorded
- * compute-SM count, so record→replay of a synthetic workload reproduces
- * the original run's counters exactly (tests/test_trace_replay.cpp).
+ * The two trace-driven scenarios, one replay driver: every `.mtrc`
+ * trace (docs/TRACE_FORMAT.md) opens through the mmap-backed
+ * TraceReader and replays, O(streams) memory, on two systems — a
+ * conventional baseline and a Morpheus-ALL-style split — at the trace's
+ * recorded compute-SM count.
+ *
+ * - **trace_replay** (ROADMAP "Workload realism") replays the traces
+ *   recorded with `morpheus_trace record` under bench/traces/. Replaying
+ *   a synthetic workload's trace reproduces the original run's counters
+ *   exactly (tests/test_trace_replay.cpp); the CI smoke gate diffs this
+ *   scenario's report — and a freshly in-workflow-recorded trace's —
+ *   against committed baselines.
+ * - **trace_corpus** (ROADMAP "Real-GPU trace ingestion") replays the
+ *   committed corpus of *converted* traces (bench/traces/corpus/,
+ *   produced by `morpheus_trace convert` from Accel-Sim/NVBit-style text
+ *   dumps).
  *
  * Trace selection: `--trace FILE` replays one file; otherwise every
  * `*.mtrc` in $MORPHEUS_TRACE_DIR, ./bench/traces, or ../bench/traces
- * (first directory that exists), in filename order. The repo commits
- * sample traces under bench/traces/, recorded with `morpheus_trace
- * record`; the CI smoke gate diffs this scenario's report — and a
- * freshly in-workflow-recorded trace's — against committed baselines.
+ * (trace_replay) or in $MORPHEUS_TRACE_CORPUS_DIR, ./bench/traces/corpus,
+ * or ../bench/traces/corpus (trace_corpus) — the first directory that
+ * exists — in filename order.
  */
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -34,15 +44,26 @@ namespace {
 /** Cache-mode SMs lent to the extended LLC in the Morpheus replay. */
 constexpr std::uint32_t kReplayCacheSms = 8;
 
+/** What tells the two trace scenarios apart. */
+struct TraceScenario
+{
+    const char *name;
+    const char *dir_env;     ///< overrides the default trace directory
+    const char *dir;         ///< default directory, relative to the working directory
+    const char *none_found;  ///< stderr line when no trace is found
+    const char *title;
+    const char *note;        ///< printf format; %u is kReplayCacheSms
+};
+
 std::vector<std::string>
-default_trace_files()
+default_trace_files(const TraceScenario &s)
 {
     namespace fs = std::filesystem;
     std::vector<std::string> candidates;
-    if (const char *env = std::getenv("MORPHEUS_TRACE_DIR"))
+    if (const char *env = std::getenv(s.dir_env))
         candidates.push_back(env);
-    candidates.push_back("bench/traces");
-    candidates.push_back("../bench/traces");
+    candidates.push_back(s.dir);
+    candidates.push_back(std::string("../") + s.dir);
 
     std::vector<std::string> files;
     for (const auto &dir : candidates) {
@@ -59,28 +80,22 @@ default_trace_files()
     return files;
 }
 
-std::string
-trace_stem(const std::string &path)
-{
-    return std::filesystem::path(path).stem().string();
-}
-
 /** Baseline system sized for the trace's recorded compute-SM count. */
 SystemSetup
-conventional_setup(const trace::Trace &t)
+conventional_setup(std::uint32_t trace_sms)
 {
     SystemSetup setup;
-    setup.compute_sms = t.num_sms;
-    setup.cfg.num_sms = std::max(setup.cfg.num_sms, t.num_sms);
+    setup.compute_sms = trace_sms;
+    setup.cfg.num_sms = std::max(setup.cfg.num_sms, trace_sms);
     return setup;
 }
 
 /** Morpheus-ALL-style system: same compute SMs plus cache-mode SMs. */
 SystemSetup
-morpheus_setup(const trace::Trace &t)
+morpheus_setup(std::uint32_t trace_sms)
 {
-    SystemSetup setup = conventional_setup(t);
-    setup.cfg.num_sms = std::max(setup.cfg.num_sms, t.num_sms + kReplayCacheSms);
+    SystemSetup setup = conventional_setup(trace_sms);
+    setup.cfg.num_sms = std::max(setup.cfg.num_sms, trace_sms + kReplayCacheSms);
     setup.morpheus.enabled = true;
     setup.morpheus.cache_sms = kReplayCacheSms;
     setup.morpheus.kernel.compression = true;
@@ -88,47 +103,42 @@ morpheus_setup(const trace::Trace &t)
     return setup;
 }
 
-} // namespace
-
 int
-run_trace_replay(const ScenarioOptions &opts)
+run_traces(const ScenarioOptions &opts, const TraceScenario &s)
 {
     std::vector<std::string> files;
     if (!opts.trace_path.empty())
         files.push_back(opts.trace_path);
     else
-        files = default_trace_files();
+        files = default_trace_files(s);
     if (files.empty()) {
-        std::fprintf(stderr,
-                     "trace_replay: no .mtrc traces found (pass --trace FILE, set "
-                     "MORPHEUS_TRACE_DIR, or run from the repo root so bench/traces/ "
-                     "resolves; record one with morpheus_trace)\n");
+        std::fprintf(stderr, "%s: %s\n", s.name, s.none_found);
         return 1;
     }
 
     struct LoadedTrace
     {
         std::string stem;
-        trace::Trace trace;
-        trace::TraceStats stats;
+        trace::TraceReader reader;
     };
-    std::vector<LoadedTrace> traces;
+    // unique_ptr: the readers hand out cursors borrowing their mapping,
+    // so their addresses must stay stable while the pool runs.
+    std::vector<std::unique_ptr<LoadedTrace>> traces;
     for (const auto &file : files) {
-        LoadedTrace lt;
+        auto lt = std::make_unique<LoadedTrace>();
         std::string error;
-        if (!trace::Trace::load_file(file, lt.trace, error)) {
-            std::fprintf(stderr, "trace_replay: %s: %s\n", file.c_str(), error.c_str());
+        if (!lt->reader.open(file, error)) {
+            std::fprintf(stderr, "%s: %s: %s\n", s.name, file.c_str(), error.c_str());
             return 1;
         }
-        lt.stem = trace_stem(file);
-        lt.stats = lt.trace.stats();
+        lt->stem = std::filesystem::path(file).stem().string();
         traces.push_back(std::move(lt));
     }
 
     struct SystemChoice
     {
         const char *label;
-        SystemSetup (*make)(const trace::Trace &);
+        SystemSetup (*make)(std::uint32_t);
     };
     static constexpr SystemChoice kSystems[] = {
         {"BL", conventional_setup},
@@ -136,12 +146,15 @@ run_trace_replay(const ScenarioOptions &opts)
     };
 
     // Every (trace, system) replay is an independent simulation; fan out.
+    // Each worker builds its own workload over the shared read-only
+    // mapping — cursors are per-workload state.
     ParallelRunner<RunResult> pool(opts.jobs);
     for (const auto &lt : traces) {
         for (const auto &sys : kSystems) {
-            pool.submit(lt.stem + "/" + sys.label, [&lt, &sys] {
-                TraceWorkload workload(lt.trace);
-                return run_workload(sys.make(lt.trace), workload);
+            LoadedTrace *t = lt.get();
+            pool.submit(t->stem + "/" + sys.label, [t, &sys] {
+                TraceWorkload workload(t->reader);
+                return run_workload(sys.make(t->reader.num_sms()), workload);
             });
         }
     }
@@ -161,7 +174,7 @@ run_trace_replay(const ScenarioOptions &opts)
                     ? 100.0 * static_cast<double>(run.ext_hits) /
                           static_cast<double>(run.ext_requests)
                     : 0.0;
-            table.add_row({lt.stem, sys.label, std::to_string(lt.stats.records),
+            table.add_row({lt->stem, sys.label, std::to_string(lt->reader.total_records()),
                            std::to_string(run.cycles), fmt(run.ipc), fmt(l1_rate, 1),
                            std::to_string(run.llc_accesses), std::to_string(run.ext_requests),
                            fmt(ext_rate, 1), std::to_string(run.dram_reads), fmt(run.mpki, 1)});
@@ -172,14 +185,53 @@ run_trace_replay(const ScenarioOptions &opts)
     }
 
     ScenarioEmitter emit(opts);
-    emit.table("Trace replay: recorded kernels through the full memory hierarchy", table);
-    emit.note("\nEach trace replays at its recorded compute-SM count on the conventional\n"
-              "baseline (BL) and on a Morpheus system lending %u cache-mode SMs with BDI\n"
-              "compression and Bloom prediction. Replaying a trace recorded from a\n"
-              "synthetic workload on the same system reproduces the live run's counters\n"
-              "exactly (tests/test_trace_replay.cpp); format spec: docs/TRACE_FORMAT.md.\n",
-              kReplayCacheSms);
+    emit.table(s.title, table);
+    emit.note(s.note, kReplayCacheSms);
     return 0;
+}
+
+} // namespace
+
+int
+run_trace_replay(const ScenarioOptions &opts)
+{
+    static constexpr TraceScenario kReplay = {
+        "trace_replay",
+        "MORPHEUS_TRACE_DIR",
+        "bench/traces",
+        "no .mtrc traces found (pass --trace FILE, set MORPHEUS_TRACE_DIR, or run from the "
+        "repo root so bench/traces/ resolves; record one with morpheus_trace)",
+        "Trace replay: recorded kernels through the full memory hierarchy",
+        "\nEach trace replays at its recorded compute-SM count on the conventional\n"
+        "baseline (BL) and on a Morpheus system lending %u cache-mode SMs with BDI\n"
+        "compression and Bloom prediction. Replaying a trace recorded from a\n"
+        "synthetic workload on the same system reproduces the live run's counters\n"
+        "exactly (tests/test_trace_replay.cpp); format spec: docs/TRACE_FORMAT.md.\n",
+    };
+    return run_traces(opts, kReplay);
+}
+
+int
+run_trace_corpus(const ScenarioOptions &opts)
+{
+    static constexpr TraceScenario kCorpus = {
+        "trace_corpus",
+        "MORPHEUS_TRACE_CORPUS_DIR",
+        "bench/traces/corpus",
+        "no converted .mtrc traces found (pass --trace FILE, set MORPHEUS_TRACE_CORPUS_DIR, "
+        "or run from the repo root so bench/traces/corpus/ resolves; produce one with "
+        "`morpheus_trace convert`)",
+        "Trace corpus: converted real-GPU-style traces, streamed zero-copy",
+        "\nEvery converted trace in the corpus replays at its recorded compute-SM\n"
+        "count on the conventional baseline (BL) and on a Morpheus system lending\n"
+        "%u cache-mode SMs with BDI compression and Bloom prediction. Replay goes\n"
+        "through the mmap-backed streaming TraceReader (O(streams) memory), so the\n"
+        "same sweep handles corpora orders of magnitude past what materializing\n"
+        "decode allows. Converted traces carry no block-data profile, so footprint\n"
+        "synthesis is uncompressed unless classes were annotated; converter grammar\n"
+        "and format spec: docs/TRACE_FORMAT.md.\n",
+    };
+    return run_traces(opts, kCorpus);
 }
 
 } // namespace morpheus::scenarios

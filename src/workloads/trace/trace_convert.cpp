@@ -345,7 +345,7 @@ convert_text_trace(const char *data, std::size_t size, const std::string &out_pa
         return false;
     }
 
-    TraceFileWriter::Header header;
+    TraceHeader header;
     header.name = !options.name.empty() ? options.name
                   : !kernel_name.empty() ? kernel_name
                                          : "converted";

@@ -4,8 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <unordered_map>
-#include <unordered_set>
+#include <iterator>
+
+#include "workloads/trace/trace_reader.hpp"
 
 namespace morpheus::trace {
 namespace {
@@ -17,39 +18,12 @@ put_u64_le(std::vector<std::uint8_t> &out, std::uint64_t v)
         out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
-bool
-get_u64_le(const std::uint8_t *&p, const std::uint8_t *end, std::uint64_t &out)
-{
-    if (end - p < 8)
-        return false;
-    out = 0;
-    for (int i = 0; i < 8; ++i)
-        out |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    p += 8;
-    return true;
-}
-
 std::uint64_t
 double_bits(double d)
 {
     std::uint64_t bits;
     std::memcpy(&bits, &d, sizeof(bits));
     return bits;
-}
-
-double
-bits_double(std::uint64_t bits)
-{
-    double d;
-    std::memcpy(&d, &bits, sizeof(d));
-    return d;
-}
-
-bool
-fail(std::string &error, const char *what)
-{
-    error = what;
-    return false;
 }
 
 } // namespace
@@ -140,35 +114,56 @@ rle_compress(const std::vector<std::uint8_t> &in)
 }
 
 bool
-rle_decompress(const std::uint8_t *in, std::size_t in_size, std::size_t decoded_size,
-               std::vector<std::uint8_t> &out, std::string &error)
+header_within_ceilings(const TraceHeader &header, std::uint64_t stream_count)
 {
-    out.clear();
-    out.reserve(decoded_size);
-    const std::uint8_t *p = in;
-    const std::uint8_t *end = in + in_size;
-    while (p != end) {
-        const std::uint8_t control = *p++;
-        if (control < 0x80) {
-            const std::size_t n = static_cast<std::size_t>(control) + 1;
-            if (static_cast<std::size_t>(end - p) < n)
-                return fail(error, "RLE literal run past end of payload");
-            if (out.size() + n > decoded_size)
-                return fail(error, "RLE output exceeds declared decoded size");
-            out.insert(out.end(), p, p + n);
-            p += n;
-        } else {
-            if (p == end)
-                return fail(error, "RLE run missing value byte");
-            const std::size_t n = static_cast<std::size_t>(control - 0x80) + 3;
-            if (out.size() + n > decoded_size)
-                return fail(error, "RLE output exceeds declared decoded size");
-            out.insert(out.end(), n, *p++);
-        }
+    return header.version >= kFormatVersionV1 && header.version <= kFormatVersion &&
+           header.num_sms > 0 && header.num_sms <= kMaxTraceSms && header.warps_per_sm > 0 &&
+           header.warps_per_sm <= kMaxTraceWarpsPerSm && header.name.size() <= kMaxNameBytes &&
+           stream_count <= static_cast<std::uint64_t>(header.num_sms) * header.warps_per_sm;
+}
+
+void
+put_header(std::vector<std::uint8_t> &out, const TraceHeader &header,
+           std::uint64_t stream_count)
+{
+    out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
+    out.push_back(header.version);
+    std::uint8_t flags = 0;
+    if (header.has_profile)
+        flags |= kFlagHasProfile;
+    if (header.rle)
+        flags |= kFlagRle;
+    out.push_back(flags);
+    put_varint(out, header.num_sms);
+    put_varint(out, header.warps_per_sm);
+    put_varint(out, kLineBytes);
+    put_varint(out, header.name.size());
+    out.insert(out.end(), header.name.begin(), header.name.end());
+    if (header.has_profile) {
+        put_u64_le(out, double_bits(header.profile.high_frac));
+        put_u64_le(out, double_bits(header.profile.low_frac));
+        put_u64_le(out, header.profile.seed);
     }
-    if (out.size() != decoded_size)
-        return fail(error, "RLE output shorter than declared decoded size");
-    return true;
+    put_varint(out, stream_count);
+}
+
+void
+put_stream_section(std::vector<std::uint8_t> &out, std::uint32_t sm, std::uint32_t warp,
+                   std::uint64_t record_count, const std::vector<std::uint8_t> &payload,
+                   bool rle)
+{
+    put_varint(out, sm);
+    put_varint(out, warp);
+    put_varint(out, record_count);
+    put_varint(out, payload.size());
+    if (rle) {
+        const std::vector<std::uint8_t> packed = rle_compress(payload);
+        put_varint(out, packed.size());
+        out.insert(out.end(), packed.begin(), packed.end());
+    } else {
+        put_varint(out, payload.size());
+        out.insert(out.end(), payload.begin(), payload.end());
+    }
 }
 
 void
@@ -210,99 +205,19 @@ Trace::total_records() const
     return n;
 }
 
-TraceStats
-Trace::stats() const
-{
-    TraceStats st;
-    // Per unique line: a bitmask of the *known* classes it was recorded
-    // with. More than one bit set => a class collision the replay has to
-    // resolve (highest compression wins; see TraceWorkload).
-    std::unordered_map<LineAddr, std::uint8_t> line_classes;
-    for (const auto &stream : streams) {
-        if (stream.steps.empty())
-            ++st.empty_streams;
-        for (const auto &step : stream.steps) {
-            ++st.records;
-            st.alu_instrs += step.alu_instrs;
-            if (step.num_lines == 0)
-                continue;
-            ++st.mem_records;
-            st.lines += step.num_lines;
-            switch (step.type) {
-              case AccessType::kRead:
-                ++st.reads;
-                break;
-              case AccessType::kWrite:
-                ++st.writes;
-                break;
-              case AccessType::kAtomic:
-                ++st.atomics;
-                break;
-            }
-            for (std::uint32_t i = 0; i < step.num_lines; ++i) {
-                const std::uint8_t c = step.cls[i] & 3;
-                st.class_counts[c]++;
-                std::uint8_t &mask = line_classes[step.lines[i]];
-                if (c != kClassUnknown)
-                    mask |= static_cast<std::uint8_t>(1u << c);
-            }
-        }
-    }
-    st.unique_lines = line_classes.size();
-    st.footprint_bytes = st.unique_lines * kLineBytes;
-    for (const auto &[line, mask] : line_classes) {
-        (void)line;
-        if (mask & (mask - 1))  // two or more known classes disagree
-            ++st.class_collisions;
-    }
-    return st;
-}
-
 std::vector<std::uint8_t>
 Trace::encode() const
 {
     std::vector<std::uint8_t> out;
     out.reserve(64 + 4 * total_records());
-    for (std::uint8_t b : kMagic)
-        out.push_back(b);
-    out.push_back(version);
-    std::uint8_t flags = 0;
-    if (has_profile)
-        flags |= kFlagHasProfile;
-    if (rle)
-        flags |= kFlagRle;
-    out.push_back(flags);
-    put_varint(out, num_sms);
-    put_varint(out, warps_per_sm);
-    put_varint(out, kLineBytes);
-    put_varint(out, name.size());
-    out.insert(out.end(), name.begin(), name.end());
-    if (has_profile) {
-        put_u64_le(out, double_bits(profile.high_frac));
-        put_u64_le(out, double_bits(profile.low_frac));
-        put_u64_le(out, profile.seed);
-    }
-
-    put_varint(out, streams.size());
+    put_header(out, *this, streams.size());
     std::vector<std::uint8_t> payload;
     for (const auto &stream : streams) {
         payload.clear();
         StreamEncoder enc(version);
         for (const auto &step : stream.steps)
             enc.add(step, payload);
-
-        put_varint(out, stream.sm);
-        put_varint(out, stream.warp);
-        put_varint(out, stream.steps.size());
-        put_varint(out, payload.size());
-        if (rle) {
-            const std::vector<std::uint8_t> packed_payload = rle_compress(payload);
-            put_varint(out, packed_payload.size());
-            out.insert(out.end(), packed_payload.begin(), packed_payload.end());
-        } else {
-            put_varint(out, payload.size());
-            out.insert(out.end(), payload.begin(), payload.end());
-        }
+        put_stream_section(out, stream.sm, stream.warp, stream.steps.size(), payload, rle);
     }
     return out;
 }
@@ -311,144 +226,37 @@ bool
 Trace::decode(const std::uint8_t *data, std::size_t size, Trace &out, std::string &error)
 {
     out = Trace{};
-    out.streams.clear();
-    const std::uint8_t *p = data;
-    const std::uint8_t *end = data + size;
-
-    if (size < 6 || std::memcmp(p, kMagic, 4) != 0)
-        return fail(error, "not an .mtrc file (bad magic)");
-    p += 4;
-    const std::uint8_t version = *p++;
-    if (version < kFormatVersionV1 || version > kFormatVersion)
-        return fail(error, "unsupported .mtrc version");
-    out.version = version;
-    const std::uint8_t flags = *p++;
-    if (flags & ~(kFlagHasProfile | kFlagRle))
-        return fail(error, "unknown header flags");
-    out.has_profile = flags & kFlagHasProfile;
-    out.rle = flags & kFlagRle;
-
-    std::uint64_t num_sms = 0;
-    std::uint64_t warps_per_sm = 0;
-    std::uint64_t line_bytes = 0;
-    std::uint64_t name_len = 0;
-    if (!get_varint(p, end, num_sms) || !get_varint(p, end, warps_per_sm) ||
-        !get_varint(p, end, line_bytes) || !get_varint(p, end, name_len))
-        return fail(error, "truncated header");
-    if (num_sms == 0 || num_sms > kMaxTraceSms)
-        return fail(error, "impossible SM count");
-    if (warps_per_sm == 0 || warps_per_sm > kMaxTraceWarpsPerSm)
-        return fail(error, "impossible warps-per-SM count");
-    if (line_bytes != kLineBytes)
-        return fail(error, "line size mismatch (the format requires 128-byte lines)");
-    if (name_len > kMaxNameBytes || name_len > static_cast<std::uint64_t>(end - p))
-        return fail(error, "impossible name length");
-    out.num_sms = static_cast<std::uint32_t>(num_sms);
-    out.warps_per_sm = static_cast<std::uint32_t>(warps_per_sm);
-    out.name.assign(reinterpret_cast<const char *>(p), name_len);
-    p += name_len;
-
-    if (out.has_profile) {
-        std::uint64_t high_bits = 0;
-        std::uint64_t low_bits = 0;
-        std::uint64_t seed = 0;
-        if (!get_u64_le(p, end, high_bits) || !get_u64_le(p, end, low_bits) ||
-            !get_u64_le(p, end, seed))
-            return fail(error, "truncated block profile");
-        out.profile.high_frac = bits_double(high_bits);
-        out.profile.low_frac = bits_double(low_bits);
-        out.profile.seed = seed;
-        if (!std::isfinite(out.profile.high_frac) || !std::isfinite(out.profile.low_frac) ||
-            out.profile.high_frac < 0 || out.profile.low_frac < 0 ||
-            out.profile.high_frac + out.profile.low_frac > 1.0)
-            return fail(error, "invalid block profile fractions");
+    TraceReader reader;
+    if (!reader.init(data, size, error))
+        return false;
+    // Degenerate 3-byte records under maximal RLE would otherwise let a
+    // small crafted file demand ~2000x its size in TraceStep storage.
+    if (reader.total_records() > kMaxTraceRecords) {
+        error = "impossible record count (exceeds per-file ceiling)";
+        return false;
     }
-
-    std::uint64_t stream_count = 0;
-    if (!get_varint(p, end, stream_count))
-        return fail(error, "truncated stream count");
-    if (stream_count > num_sms * warps_per_sm)
-        return fail(error, "impossible stream count");
-
-    std::unordered_set<std::uint64_t> seen_slots;
-    std::vector<std::uint8_t> payload;
-    std::uint64_t records_so_far = 0;
-    for (std::uint64_t s = 0; s < stream_count; ++s) {
-        std::uint64_t sm = 0;
-        std::uint64_t warp = 0;
-        std::uint64_t record_count = 0;
-        std::uint64_t decoded_bytes = 0;
-        std::uint64_t stored_bytes = 0;
-        if (!get_varint(p, end, sm) || !get_varint(p, end, warp) ||
-            !get_varint(p, end, record_count) || !get_varint(p, end, decoded_bytes) ||
-            !get_varint(p, end, stored_bytes))
-            return fail(error, "truncated stream header");
-        if (sm >= num_sms || warp >= warps_per_sm)
-            return fail(error, "stream (sm, warp) out of range");
-        if (!seen_slots.insert(sm * kMaxTraceWarpsPerSm + warp).second)
-            return fail(error, "duplicate (sm, warp) stream");
-        if (stored_bytes > static_cast<std::uint64_t>(end - p))
-            return fail(error, "stream payload past end of file");
-        if (out.rle) {
-            if (decoded_bytes > stored_bytes * kMaxRleExpansion)
-                return fail(error, "impossible RLE decoded size");
-        } else if (decoded_bytes != stored_bytes) {
-            return fail(error, "decoded/stored size mismatch without RLE");
-        }
-        if (record_count > decoded_bytes / kMinRecordBytes)
-            return fail(error, "impossible record count");
-        // Degenerate 3-byte records under maximal RLE would otherwise let
-        // a small crafted file demand ~2000x its size in TraceStep
-        // storage; the ceiling keeps hostile allocations bounded.
-        records_so_far += record_count;
-        if (records_so_far > kMaxTraceRecords)
-            return fail(error, "impossible record count (exceeds per-file ceiling)");
-
-        const std::uint8_t *stored = p;
-        p += stored_bytes;
-        ByteRange src;
-        if (out.rle) {
-            if (!rle_decompress(stored, stored_bytes, decoded_bytes, payload, error))
-                return false;
-            src = ByteRange{payload.data(), payload.data() + payload.size()};
-        } else {
-            src = ByteRange{stored, stored + stored_bytes};
-        }
-
-        TraceStream stream;
-        stream.sm = static_cast<std::uint32_t>(sm);
-        stream.warp = static_cast<std::uint32_t>(warp);
-        stream.steps.reserve(record_count);
-        std::uint64_t prev_pc = 0;
-        LineAddr prev_line = 0;
-        for (std::uint64_t r = 0; r < record_count; ++r) {
-            TraceStep step;
-            if (!decode_record(src, version, prev_pc, prev_line, step, error))
-                return false;
-            stream.steps.push_back(step);
-        }
-        if (src.p != src.end)
-            return fail(error, "trailing bytes after last record");
-        out.streams.push_back(std::move(stream));
+    static_cast<TraceHeader &>(out) = reader.header();
+    out.streams.resize(reader.stream_count());
+    for (std::size_t i = 0; i < reader.stream_count(); ++i) {
+        TraceStream &stream = out.streams[i];
+        stream.sm = reader.stream(i).sm;
+        stream.warp = reader.stream(i).warp;
+        stream.steps.resize(reader.stream(i).record_count);
+        // A validated reader's cursors never fail.
+        TraceReader::Cursor c = reader.cursor(i);
+        for (TraceStep &step : stream.steps)
+            c.next(step);
     }
-
-    if (p != end)
-        return fail(error, "trailing bytes after last stream");
     return true;
 }
 
 bool
 Trace::save_file(const std::string &path, std::string &error) const
 {
-    // Refuse to write files every decoder would reject.
-    if (num_sms == 0 || num_sms > kMaxTraceSms || warps_per_sm == 0 ||
-        warps_per_sm > kMaxTraceWarpsPerSm || total_records() > kMaxTraceRecords) {
-        error = "trace exceeds .mtrc format ceilings (SMs/warps/records); "
+    // Refuse to write files the reader would reject.
+    if (!header_within_ceilings(*this, streams.size()) || total_records() > kMaxTraceRecords) {
+        error = "trace exceeds .mtrc format ceilings (version/SMs/warps/name/records); "
                 "downsample before saving";
-        return false;
-    }
-    if (version < kFormatVersionV1 || version > kFormatVersion) {
-        error = "unknown .mtrc version to encode";
         return false;
     }
     const std::vector<std::uint8_t> bytes = encode();
@@ -467,23 +275,8 @@ Trace::save_file(const std::string &path, std::string &error) const
 bool
 Trace::load_file(const std::string &path, Trace &out, std::string &error)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        error = "cannot open '" + path + "'";
-        return false;
-    }
-    std::vector<std::uint8_t> bytes;
-    std::uint8_t buf[64 * 1024];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        bytes.insert(bytes.end(), buf, buf + n);
-    const bool read_ok = std::ferror(f) == 0;
-    std::fclose(f);
-    if (!read_ok) {
-        error = "read error on '" + path + "'";
-        return false;
-    }
-    return decode(bytes.data(), bytes.size(), out, error);
+    MappedFile file;
+    return file.open(path, error) && decode(file.data(), file.size(), out, error);
 }
 
 void

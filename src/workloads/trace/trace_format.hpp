@@ -26,12 +26,14 @@ namespace morpheus::trace {
  * Two on-disk versions exist. v1 carries one BDI footprint class per
  * record (its first line's); v2 carries a class per *line* (packed
  * 2-bit trailers), fixing profile-less replay fidelity for multi-line
- * steps. Decoders accept both; encoders emit Trace::version.
+ * steps. The reader accepts both; encoders emit TraceHeader::version.
  *
- * The decoder is hardened against corrupt input: every length is
- * validated against the remaining buffer before any allocation, so a
- * truncated or bit-flipped file produces an error string, never UB
- * (tests/test_trace_fuzz.cpp runs it under ASan+UBSan).
+ * One parser (TraceReader, trace_reader.hpp) and one container writer
+ * (put_header/put_stream_section below) exist. The parser is hardened
+ * against corrupt input: every length is validated against the
+ * remaining buffer before any allocation, so a truncated or bit-flipped
+ * file produces an error string, never UB (tests/test_trace_fuzz.cpp
+ * runs it under ASan+UBSan).
  */
 
 /** File magic ("MTRC") and the format versions. */
@@ -44,14 +46,14 @@ inline constexpr std::uint8_t kFlagHasProfile = 0x01;  ///< BlockDataProfile pre
 inline constexpr std::uint8_t kFlagRle = 0x02;         ///< stream payloads RLE-compressed
 
 /** @name Hard format ceilings
- * Shared by the encoder, the decoder, and the tools: values beyond
+ * Shared by the writers, the reader, and the tools: values beyond
  * these are rejected as "impossible" before any allocation, so a small
  * crafted file cannot demand gigabytes of TraceStep storage (RLE plus
  * 3-byte minimum records would otherwise amplify input size ~2000x).
  * kMaxTraceRecords bounds only *materializing* decodes (Trace::decode
- * holds every step in memory); the streaming TraceReader replays
- * arbitrarily large files without it — traces past the ceiling are
- * streamed or downsampled, never fully decoded.
+ * holds every step in memory); TraceReader replays arbitrarily large
+ * files without it — traces past the ceiling are streamed or
+ * downsampled, never fully decoded.
  */
 ///@{
 inline constexpr std::uint64_t kMaxTraceSms = 1u << 16;
@@ -126,42 +128,46 @@ struct TraceStats
     std::uint64_t class_collisions = 0;
 };
 
-/**
- * An in-memory `.mtrc` trace: the decoded form produced by record_trace()
- * and consumed by TraceWorkload. encode()/decode() are exact inverses
- * (the determinism tests rely on byte-identical re-encoding).
- *
- * Materializing a trace costs sizeof(TraceStep) per record; multi-GB
- * captures should go through the streaming TraceReader/TraceWorkload
- * path instead (trace_reader.hpp), which never holds more than one
- * record per stream.
- */
-class Trace
+/** The `.mtrc` header: every field before the stream directory. */
+struct TraceHeader
 {
-  public:
-    std::string name;                ///< originating workload name
+    std::string name;                       ///< originating workload name
     std::uint8_t version = kFormatVersion;  ///< on-disk version to encode
-    std::uint32_t num_sms = 0;       ///< compute SMs at record time
-    std::uint32_t warps_per_sm = 0;  ///< occupancy bound at record time
-    bool rle = true;                 ///< compress stream payloads on encode
+    std::uint32_t num_sms = 0;              ///< compute SMs at record time
+    std::uint32_t warps_per_sm = 0;         ///< occupancy bound at record time
+    bool rle = true;                        ///< compress stream payloads on encode
 
     /** When recorded from a synthetic workload, its data profile travels
      *  with the trace so replayed block contents are byte-identical. */
     bool has_profile = false;
     BlockDataProfile profile{};
+};
 
+/**
+ * An in-memory `.mtrc` trace: what record_trace() produces and what
+ * downsample_trace() edits. encode()/decode() are exact inverses (the
+ * determinism tests rely on byte-identical re-encoding).
+ *
+ * decode() is a drain of TraceReader cursors (trace_reader.hpp), the one
+ * `.mtrc` parser; replay always goes through a TraceReader, which never
+ * holds more than one record per stream. Materializing costs
+ * sizeof(TraceStep) per record, hence the kMaxTraceRecords ceiling.
+ */
+class Trace : public TraceHeader
+{
+  public:
     std::vector<TraceStream> streams;
 
     std::uint64_t total_records() const;
-    TraceStats stats() const;
 
     /** Serializes to the `.mtrc` byte layout of `version` (v1 drops the
      *  classes of lines beyond each record's first). */
     std::vector<std::uint8_t> encode() const;
 
-    /** Parses an encoded trace (either version). @return false and fills
-     *  @p error on any malformed input (truncation, corrupt varints,
-     *  impossible counts, duplicate streams, trailing bytes). */
+    /** Parses an encoded trace (either version) with TraceReader's full
+     *  validation, then materializes every stream. @return false and
+     *  fills @p error on any malformed input, or when the file holds more
+     *  than kMaxTraceRecords records. */
     static bool decode(const std::uint8_t *data, std::size_t size, Trace &out,
                        std::string &error);
 
@@ -192,19 +198,38 @@ bool get_varint(const std::uint8_t *&p, const std::uint8_t *end, std::uint64_t &
 std::uint64_t zigzag_encode(std::int64_t v);
 std::int64_t zigzag_decode(std::uint64_t v);
 std::vector<std::uint8_t> rle_compress(const std::vector<std::uint8_t> &in);
-bool rle_decompress(const std::uint8_t *in, std::size_t in_size, std::size_t decoded_size,
-                    std::vector<std::uint8_t> &out, std::string &error);
+///@}
+
+/** @name Container writer
+ * The one writer of the `.mtrc` header and stream sections, shared by
+ * Trace::encode and TraceFileWriter.
+ */
+///@{
+
+/** Whether @p header and @p stream_count are inside the format ceilings
+ *  the reader enforces (known version, SM/warp/name bounds, at most
+ *  one stream per (sm, warp) slot). */
+bool header_within_ceilings(const TraceHeader &header, std::uint64_t stream_count);
+
+/** Appends the header (magic through the stream count) to @p out. */
+void put_header(std::vector<std::uint8_t> &out, const TraceHeader &header,
+                std::uint64_t stream_count);
+
+/** Appends one stream section: its directory entry, then @p payload,
+ *  RLE-compressed when @p rle. */
+void put_stream_section(std::vector<std::uint8_t> &out, std::uint32_t sm, std::uint32_t warp,
+                        std::uint64_t record_count, const std::vector<std::uint8_t> &payload,
+                        bool rle);
 ///@}
 
 /** @name Record codec
  * One implementation of the per-record wire layout, shared by the
- * materializing decoder (Trace::decode), the streaming reader's cursors
- * (TraceReader), the in-memory encoder (Trace::encode), and the
- * streaming writer (TraceFileWriter) — so every producer/consumer pair
- * is byte-identical by construction. Decoding is templated over a
- * pull-based byte source (`bool pull(std::uint8_t &)`), which lets the
- * streaming reader decode RLE payloads incrementally without ever
- * materializing a stream.
+ * reader's cursors (TraceReader, which Trace::decode drains), the
+ * in-memory encoder (Trace::encode), and the streaming writer
+ * (TraceFileWriter) — so every producer/consumer pair is byte-identical
+ * by construction. Decoding is templated over a pull-based byte source
+ * (`bool pull(std::uint8_t &)`), which lets the reader decode RLE
+ * payloads incrementally without ever materializing a stream.
  */
 ///@{
 

@@ -233,17 +233,18 @@ TraceReader::parse(const std::uint8_t *data, std::size_t size, std::string &erro
     const std::uint8_t *p = data;
     const std::uint8_t *end = data + size;
 
+    header_ = TraceHeader{};
     if (size < 6 || std::memcmp(p, kMagic, 4) != 0)
         return fail(error, "not an .mtrc file (bad magic)");
     p += 4;
-    version_ = *p++;
-    if (version_ < kFormatVersionV1 || version_ > kFormatVersion)
+    header_.version = *p++;
+    if (header_.version < kFormatVersionV1 || header_.version > kFormatVersion)
         return fail(error, "unsupported .mtrc version");
     const std::uint8_t flags = *p++;
     if (flags & ~(kFlagHasProfile | kFlagRle))
         return fail(error, "unknown header flags");
-    has_profile_ = flags & kFlagHasProfile;
-    rle_ = flags & kFlagRle;
+    header_.has_profile = flags & kFlagHasProfile;
+    header_.rle = flags & kFlagRle;
 
     std::uint64_t num_sms = 0;
     std::uint64_t warps_per_sm = 0;
@@ -260,12 +261,12 @@ TraceReader::parse(const std::uint8_t *data, std::size_t size, std::string &erro
         return fail(error, "line size mismatch (the format requires 128-byte lines)");
     if (name_len > kMaxNameBytes || name_len > static_cast<std::uint64_t>(end - p))
         return fail(error, "impossible name length");
-    num_sms_ = static_cast<std::uint32_t>(num_sms);
-    warps_per_sm_ = static_cast<std::uint32_t>(warps_per_sm);
-    name_.assign(reinterpret_cast<const char *>(p), name_len);
+    header_.num_sms = static_cast<std::uint32_t>(num_sms);
+    header_.warps_per_sm = static_cast<std::uint32_t>(warps_per_sm);
+    header_.name.assign(reinterpret_cast<const char *>(p), name_len);
     p += name_len;
 
-    if (has_profile_) {
+    if (header_.has_profile) {
         if (end - p < 24)
             return fail(error, "truncated block profile");
         std::uint64_t bits[3] = {};
@@ -273,19 +274,23 @@ TraceReader::parse(const std::uint8_t *data, std::size_t size, std::string &erro
             for (int i = 0; i < 8; ++i)
                 word |= static_cast<std::uint64_t>(*p++) << (8 * i);
         }
-        std::memcpy(&profile_.high_frac, &bits[0], 8);
-        std::memcpy(&profile_.low_frac, &bits[1], 8);
-        profile_.seed = bits[2];
-        if (!std::isfinite(profile_.high_frac) || !std::isfinite(profile_.low_frac) ||
-            profile_.high_frac < 0 || profile_.low_frac < 0 ||
-            profile_.high_frac + profile_.low_frac > 1.0)
+        BlockDataProfile &profile = header_.profile;
+        std::memcpy(&profile.high_frac, &bits[0], 8);
+        std::memcpy(&profile.low_frac, &bits[1], 8);
+        profile.seed = bits[2];
+        if (!std::isfinite(profile.high_frac) || !std::isfinite(profile.low_frac) ||
+            profile.high_frac < 0 || profile.low_frac < 0 ||
+            profile.high_frac + profile.low_frac > 1.0)
             return fail(error, "invalid block profile fractions");
     }
 
     std::uint64_t stream_count = 0;
     if (!get_varint(p, end, stream_count))
         return fail(error, "truncated stream count");
-    if (stream_count > num_sms * warps_per_sm)
+    // Every directory entry is at least five 1-byte varints, so the
+    // remaining bytes bound the count before anything is reserved.
+    if (stream_count > num_sms * warps_per_sm ||
+        stream_count > static_cast<std::uint64_t>(end - p) / 5)
         return fail(error, "impossible stream count");
 
     streams_.reserve(stream_count);
@@ -304,7 +309,7 @@ TraceReader::parse(const std::uint8_t *data, std::size_t size, std::string &erro
             return fail(error, "duplicate (sm, warp) stream");
         if (info.stored_bytes > static_cast<std::uint64_t>(end - p))
             return fail(error, "stream payload past end of file");
-        if (rle_) {
+        if (header_.rle) {
             if (info.decoded_bytes > info.stored_bytes * kMaxRleExpansion)
                 return fail(error, "impossible RLE decoded size");
         } else if (info.decoded_bytes != info.stored_bytes) {
@@ -365,8 +370,8 @@ TraceReader::cursor(std::size_t i) const
     c.p_ = info.stored;
     c.end_ = info.stored + info.stored_bytes;
     c.decoded_bytes_ = info.decoded_bytes;
-    c.rle_ = rle_;
-    c.version_ = version_;
+    c.rle_ = header_.rle;
+    c.version_ = header_.version;
     c.remaining_ = info.record_count;
     return c;
 }

@@ -45,13 +45,15 @@ class MappedFile
 };
 
 /**
- * Streaming, zero-copy `.mtrc` reader: validates the header and stream
- * directory over a memory-mapped (or caller-provided) buffer and hands
- * out per-stream cursors that decode one record at a time straight off
- * the mapped bytes — RLE payloads are expanded incrementally inside the
- * cursor, so a multi-GB trace replays in O(streams) memory and nothing
- * is ever materialized (contrast Trace::decode, which holds every step
- * and is capped at kMaxTraceRecords for exactly that reason).
+ * The one `.mtrc` parser: validates the header and stream directory over
+ * a memory-mapped (or caller-provided) buffer and hands out per-stream
+ * cursors that decode one record at a time straight off the mapped
+ * bytes — RLE payloads are expanded incrementally inside the cursor, so
+ * a multi-GB trace replays in O(streams) memory. Everything that reads
+ * a trace goes through it: TraceWorkload replays its cursors,
+ * Trace::decode drains them into memory (and alone enforces
+ * kMaxTraceRecords, since only it holds every step), and stats() walks
+ * them.
  *
  * open() runs a full validation pass by default — every record of every
  * stream is walked once (bounded memory) so that replay later cannot
@@ -136,13 +138,14 @@ class TraceReader
 
     bool is_open() const { return !streams_.empty() || header_ok_; }
 
-    const std::string &name() const { return name_; }
-    std::uint8_t version() const { return version_; }
-    std::uint32_t num_sms() const { return num_sms_; }
-    std::uint32_t warps_per_sm() const { return warps_per_sm_; }
-    bool rle() const { return rle_; }
-    bool has_profile() const { return has_profile_; }
-    const BlockDataProfile &profile() const { return profile_; }
+    const TraceHeader &header() const { return header_; }
+    const std::string &name() const { return header_.name; }
+    std::uint8_t version() const { return header_.version; }
+    std::uint32_t num_sms() const { return header_.num_sms; }
+    std::uint32_t warps_per_sm() const { return header_.warps_per_sm; }
+    bool rle() const { return header_.rle; }
+    bool has_profile() const { return header_.has_profile; }
+    const BlockDataProfile &profile() const { return header_.profile; }
 
     std::size_t stream_count() const { return streams_.size(); }
     const StreamInfo &stream(std::size_t i) const { return streams_[i]; }
@@ -164,14 +167,8 @@ class TraceReader
                bool validate_records);
 
     MappedFile file_;
-    std::string name_;
-    std::uint8_t version_ = kFormatVersion;
-    std::uint32_t num_sms_ = 0;
-    std::uint32_t warps_per_sm_ = 0;
-    bool rle_ = false;
-    bool has_profile_ = false;
+    TraceHeader header_;
     bool header_ok_ = false;
-    BlockDataProfile profile_{};
     std::vector<StreamInfo> streams_;
 };
 

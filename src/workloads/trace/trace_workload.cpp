@@ -11,43 +11,20 @@ constexpr std::uint64_t kClassBlockSeed = 0x37AC3B10C5ULL;
 
 } // namespace
 
-TraceWorkload::TraceWorkload(const trace::Trace &trace)
-    : trace_(&trace), has_profile_(trace.has_profile), profile_(trace.profile)
-{
-    info_.name = trace.name.empty() ? "trace" : trace.name;
-    info_.memory_bound = true;
-
-    if (!has_profile_) {
-        // Build line -> class from every recorded line (v2 carries a class
-        // per line; v1 only the record's first). When records disagree on
-        // a line's class — a real possibility once writes mutate data —
-        // the highest-compression class wins (numerically smallest
-        // CompLevel), deterministically and independent of record order.
-        // `morpheus_trace stat` reports these as "class collisions".
-        for (const auto &stream : trace.streams) {
-            for (const auto &step : stream.steps) {
-                for (std::uint32_t i = 0; i < step.num_lines; ++i) {
-                    const std::uint8_t c = step.cls[i];
-                    if (c == trace::kClassUnknown)
-                        continue;
-                    auto [it, inserted] = line_class_.try_emplace(step.lines[i], c);
-                    if (!inserted && c < it->second)
-                        it->second = c;
-                }
-            }
-        }
-    }
-}
-
 TraceWorkload::TraceWorkload(const trace::TraceReader &reader)
-    : reader_(&reader), has_profile_(reader.has_profile()), profile_(reader.profile())
+    : reader_(reader)
 {
     info_.name = reader.name().empty() ? "trace" : reader.name();
     info_.memory_bound = true;
 
-    if (!has_profile_) {
-        // Same collision-resolving class map, built in one streaming pass
-        // (one record in flight). Converted real-GPU traces usually have
+    if (!reader.has_profile()) {
+        // Build line -> class from every recorded line (v2 carries a class
+        // per line; v1 only the record's first), one record in flight.
+        // When records disagree on a line's class — a real possibility
+        // once writes mutate data — the highest-compression class wins
+        // (numerically smallest CompLevel), deterministically and
+        // independent of record order; `morpheus_trace stat` reports these
+        // as "class collisions". Converted real-GPU traces usually have
         // every class kClassUnknown, so this map stays empty and replay
         // memory stays O(streams).
         trace::TraceStep step;
@@ -67,63 +44,31 @@ TraceWorkload::TraceWorkload(const trace::TraceReader &reader)
     }
 }
 
-std::size_t
-TraceWorkload::source_stream_count() const
-{
-    return trace_ ? trace_->streams.size() : reader_->stream_count();
-}
-
-void
-TraceWorkload::source_slot(std::size_t i, std::uint32_t &sm, std::uint32_t &warp) const
-{
-    if (trace_) {
-        sm = trace_->streams[i].sm;
-        warp = trace_->streams[i].warp;
-    } else {
-        sm = reader_->stream(i).sm;
-        warp = reader_->stream(i).warp;
-    }
-}
-
-std::uint32_t
-TraceWorkload::source_num_sms() const
-{
-    return trace_ ? trace_->num_sms : reader_->num_sms();
-}
-
 void
 TraceWorkload::configure(std::uint32_t num_sms)
 {
     assert(num_sms > 0);
-    const std::size_t n = source_stream_count();
+    const std::size_t n = reader_.stream_count();
     slots_.assign(num_sms, {});
-    if (trace_) {
-        cursors_.assign(n, 0);
-    } else {
-        stream_cursors_.resize(n);
-        for (std::size_t i = 0; i < n; ++i)
-            stream_cursors_[i] = reader_->cursor(i);
-    }
+    stream_cursors_.resize(n);
+    for (std::size_t i = 0; i < n; ++i)
+        stream_cursors_[i] = reader_.cursor(i);
 
     // Deterministic stream order regardless of on-disk ordering.
     std::vector<std::uint32_t> order(n);
     for (std::uint32_t i = 0; i < order.size(); ++i)
         order[i] = i;
     std::sort(order.begin(), order.end(), [this](std::uint32_t a, std::uint32_t b) {
-        std::uint32_t sa_sm, sa_warp, sb_sm, sb_warp;
-        source_slot(a, sa_sm, sa_warp);
-        source_slot(b, sb_sm, sb_warp);
-        return sa_sm != sb_sm ? sa_sm < sb_sm : sa_warp < sb_warp;
+        const auto &sa = reader_.stream(a);
+        const auto &sb = reader_.stream(b);
+        return sa.sm != sb.sm ? sa.sm < sb.sm : sa.warp < sb.warp;
     });
 
-    if (num_sms == source_num_sms()) {
+    if (num_sms == reader_.num_sms()) {
         // Identity mapping: stream (sm, warp) replays on slot (sm, warp),
         // which is what makes record→replay bit-exact.
-        for (std::uint32_t idx : order) {
-            std::uint32_t sm, warp;
-            source_slot(idx, sm, warp);
-            slots_[sm].push_back(idx);
-        }
+        for (std::uint32_t idx : order)
+            slots_[reader_.stream(idx).sm].push_back(idx);
     } else {
         // Strong scaling: deal the fixed stream set round-robin.
         std::uint32_t next = 0;
@@ -145,19 +90,11 @@ TraceWorkload::next_step(std::uint32_t sm, std::uint32_t warp, WarpStep &out)
     assert(sm < slots_.size() && warp < slots_[sm].size());
     const std::uint32_t stream_idx = slots_[sm][warp];
 
+    // A validated reader's cursors never fail; if validation was skipped
+    // and the stream is corrupt, the warp simply retires.
     trace::TraceStep step;
-    if (trace_) {
-        const auto &steps = trace_->streams[stream_idx].steps;
-        std::size_t &cursor = cursors_[stream_idx];
-        if (cursor >= steps.size())
-            return false;
-        step = steps[cursor++];
-    } else {
-        // A validated reader's cursors never fail; if validation was
-        // skipped and the stream is corrupt, the warp simply retires.
-        if (!stream_cursors_[stream_idx].next(step))
-            return false;
-    }
+    if (!stream_cursors_[stream_idx].next(step))
+        return false;
 
     out = WarpStep{};
     out.pc = step.pc;
@@ -172,8 +109,8 @@ TraceWorkload::next_step(std::uint32_t sm, std::uint32_t warp, WarpStep &out)
 Block
 TraceWorkload::synthesize_block(LineAddr line) const
 {
-    if (has_profile_)
-        return morpheus::synthesize_block(profile_, line);
+    if (reader_.has_profile())
+        return morpheus::synthesize_block(reader_.profile(), line);
 
     auto it = line_class_.find(line);
     const std::uint8_t cls = it == line_class_.end() ? trace::kClassUncompressed : it->second;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "gpu/workload.hpp"
-#include "workloads/trace/trace_format.hpp"
 #include "workloads/trace/trace_reader.hpp"
 
 namespace morpheus {
@@ -15,14 +14,12 @@ namespace morpheus {
  * A Workload that replays a recorded `.mtrc` trace, so GpuSystem/Sm
  * consume recorded kernels exactly like synthetic ones.
  *
- * Two backing modes, identical replay semantics:
- * - **Materialized** — over an in-memory trace::Trace (record→replay
- *   pipelines, tests). Costs sizeof(TraceStep) per record.
- * - **Streaming** — over a trace::TraceReader: steps are pulled one at
- *   a time through per-stream cursors straight off the memory-mapped
- *   file, so peak trace-resident memory is O(streams), independent of
- *   the record count (tests/test_trace_stream.cpp pins this on a
- *   >100 MB trace). This is how multi-GB converted corpora replay.
+ * One replay path: steps are pulled one at a time through per-stream
+ * trace::TraceReader cursors straight off the memory-mapped file (or an
+ * in-memory encoding), so peak trace-resident memory is O(streams),
+ * independent of the record count (tests/test_trace_stream.cpp pins
+ * this on a >100 MB trace). This is how multi-GB converted corpora
+ * replay.
  *
  * Replayed at the trace's recorded SM count, each (sm, warp) stream maps
  * onto the identical (sm, warp) slot, which makes a record→replay run
@@ -46,18 +43,11 @@ class TraceWorkload final : public Workload
 {
   public:
     /**
-     * Materialized replay. @param trace not owned and not copied — it
-     * must outlive this workload (parallel sweep jobs replaying the
-     * same trace share one in-memory copy; the mutable replay state
-     * lives here).
-     */
-    explicit TraceWorkload(const trace::Trace &trace);
-
-    /**
-     * Streaming replay. @param reader an opened (validated) reader; not
-     * owned, must outlive this workload along with its mapping. The
-     * class map for profile-less traces is built in one streaming pass
-     * here (O(unique classed lines) memory).
+     * @param reader an opened (validated) reader; not owned, must
+     * outlive this workload along with its mapping (parallel sweep jobs
+     * replaying the same trace share one reader; the cursors live
+     * here). The class map for profile-less traces is built in one
+     * streaming pass here (O(unique classed lines) memory).
      */
     explicit TraceWorkload(const trace::TraceReader &reader);
 
@@ -68,26 +58,15 @@ class TraceWorkload final : public Workload
     Block synthesize_block(LineAddr line) const override;
     bool models_pc() const override { return true; }
 
-    bool streaming() const { return reader_ != nullptr; }
-
   private:
-    std::size_t source_stream_count() const;
-    void source_slot(std::size_t i, std::uint32_t &sm, std::uint32_t &warp) const;
-    std::uint32_t source_num_sms() const;
-
-    const trace::Trace *trace_ = nullptr;
-    const trace::TraceReader *reader_ = nullptr;
+    const trace::TraceReader &reader_;
     WorkloadInfo info_;
     /** Per configured SM: source stream indices, in warp-slot order. */
     std::vector<std::vector<std::uint32_t>> slots_;
-    /** Materialized mode: per stream, next step to replay. */
-    std::vector<std::size_t> cursors_;
-    /** Streaming mode: per stream, a pull cursor over the mapped bytes. */
+    /** Per stream, a pull cursor over the reader's bytes. */
     std::vector<trace::TraceReader::Cursor> stream_cursors_;
     /** line -> footprint class, for profile-less traces. */
     std::unordered_map<LineAddr, std::uint8_t> line_class_;
-    bool has_profile_ = false;
-    BlockDataProfile profile_{};
 };
 
 } // namespace morpheus

@@ -1,26 +1,6 @@
 #include "workloads/trace/trace_writer.hpp"
 
-#include <cstring>
-
 namespace morpheus::trace {
-namespace {
-
-void
-put_u64_le(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint64_t
-double_bits(double d)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    return bits;
-}
-
-} // namespace
 
 TraceFileWriter::~TraceFileWriter()
 {
@@ -41,17 +21,14 @@ TraceFileWriter::write_bytes(const std::uint8_t *data, std::size_t size, std::st
 }
 
 bool
-TraceFileWriter::open(const std::string &path, const Header &header,
+TraceFileWriter::open(const std::string &path, const TraceHeader &header,
                       std::uint64_t stream_count, std::string &error)
 {
     if (file_) {
         error = "writer already open";
         return false;
     }
-    if (header.num_sms == 0 || header.num_sms > kMaxTraceSms || header.warps_per_sm == 0 ||
-        header.warps_per_sm > kMaxTraceWarpsPerSm ||
-        header.name.size() > kMaxNameBytes ||
-        stream_count > static_cast<std::uint64_t>(header.num_sms) * header.warps_per_sm) {
+    if (!header_within_ceilings(header, stream_count)) {
         error = "trace header exceeds .mtrc format ceilings";
         return false;
     }
@@ -62,6 +39,7 @@ TraceFileWriter::open(const std::string &path, const Header &header,
     }
     path_ = path;
     rle_ = header.rle;
+    version_ = header.version;
     num_sms_ = header.num_sms;
     warps_per_sm_ = header.warps_per_sm;
     declared_streams_ = stream_count;
@@ -70,26 +48,7 @@ TraceFileWriter::open(const std::string &path, const Header &header,
     seen_slots_.clear();
 
     scratch_.clear();
-    for (std::uint8_t b : kMagic)
-        scratch_.push_back(b);
-    scratch_.push_back(kFormatVersion);
-    std::uint8_t flags = 0;
-    if (header.has_profile)
-        flags |= kFlagHasProfile;
-    if (header.rle)
-        flags |= kFlagRle;
-    scratch_.push_back(flags);
-    put_varint(scratch_, header.num_sms);
-    put_varint(scratch_, header.warps_per_sm);
-    put_varint(scratch_, kLineBytes);
-    put_varint(scratch_, header.name.size());
-    scratch_.insert(scratch_.end(), header.name.begin(), header.name.end());
-    if (header.has_profile) {
-        put_u64_le(scratch_, double_bits(header.profile.high_frac));
-        put_u64_le(scratch_, double_bits(header.profile.low_frac));
-        put_u64_le(scratch_, header.profile.seed);
-    }
-    put_varint(scratch_, stream_count);
+    put_header(scratch_, header, stream_count);
     return write_bytes(scratch_.data(), scratch_.size(), error);
 }
 
@@ -118,7 +77,7 @@ TraceFileWriter::begin_stream(std::uint32_t sm, std::uint32_t warp, std::string 
     stream_warp_ = warp;
     stream_records_ = 0;
     payload_.clear();
-    encoder_ = StreamEncoder(kFormatVersion);
+    encoder_ = StreamEncoder(version_);
     return true;
 }
 
@@ -147,22 +106,9 @@ TraceFileWriter::end_stream(std::string &error)
     }
     in_stream_ = false;
     scratch_.clear();
-    put_varint(scratch_, stream_sm_);
-    put_varint(scratch_, stream_warp_);
-    put_varint(scratch_, stream_records_);
-    put_varint(scratch_, payload_.size());
-    if (rle_) {
-        const std::vector<std::uint8_t> packed = rle_compress(payload_);
-        put_varint(scratch_, packed.size());
-        if (!write_bytes(scratch_.data(), scratch_.size(), error) ||
-            !write_bytes(packed.data(), packed.size(), error))
-            return false;
-    } else {
-        put_varint(scratch_, payload_.size());
-        if (!write_bytes(scratch_.data(), scratch_.size(), error) ||
-            !write_bytes(payload_.data(), payload_.size(), error))
-            return false;
-    }
+    put_stream_section(scratch_, stream_sm_, stream_warp_, stream_records_, payload_, rle_);
+    if (!write_bytes(scratch_.data(), scratch_.size(), error))
+        return false;
     records_written_ += stream_records_;
     ++streams_written_;
     payload_.clear();

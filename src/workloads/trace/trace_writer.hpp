@@ -12,15 +12,15 @@
 namespace morpheus::trace {
 
 /**
- * Streaming `.mtrc` v2 writer: emits the header up front, then one
- * stream at a time — begin_stream(), add_step() per record,
- * end_stream() — holding only the current stream's encoded payload in
- * memory (records encode straight into it, so peak memory is the
- * *encoded* size of one stream, a few bytes per record). Because it
- * drives the same StreamEncoder as Trace::encode(), a written file is
- * byte-identical to materializing the equivalent Trace and saving it —
- * the converter and large-trace generators get canonical output for
- * free.
+ * Streaming `.mtrc` writer: emits the header up front, then one stream
+ * at a time — begin_stream(), add_step() per record, end_stream() —
+ * holding only the current stream's encoded payload in memory (records
+ * encode straight into it, so peak memory is the *encoded* size of one
+ * stream, a few bytes per record). Because it drives the same
+ * StreamEncoder, put_header and put_stream_section as Trace::encode(), a
+ * written file is byte-identical to materializing the equivalent Trace
+ * and saving it — the converter and large-trace generators get
+ * canonical output for free.
  *
  * The stream directory interleaves with payloads in the format, so no
  * seeking is needed; the declared stream count is checked at close().
@@ -28,17 +28,6 @@ namespace morpheus::trace {
 class TraceFileWriter
 {
   public:
-    /** Header metadata (mirrors the Trace fields). */
-    struct Header
-    {
-        std::string name;
-        std::uint32_t num_sms = 0;
-        std::uint32_t warps_per_sm = 0;
-        bool rle = true;
-        bool has_profile = false;
-        BlockDataProfile profile{};
-    };
-
     TraceFileWriter() = default;
     ~TraceFileWriter();
     TraceFileWriter(const TraceFileWriter &) = delete;
@@ -47,7 +36,7 @@ class TraceFileWriter
     /** Opens @p path and writes the header plus the declared
      *  @p stream_count. @return false with @p error on IO failure or
      *  out-of-ceiling metadata. */
-    bool open(const std::string &path, const Header &header, std::uint64_t stream_count,
+    bool open(const std::string &path, const TraceHeader &header, std::uint64_t stream_count,
               std::string &error);
 
     /** Starts the next (sm, warp) stream. Slots must be unique and in
@@ -63,7 +52,7 @@ class TraceFileWriter
 
     /**
      * Writes one whole stream whose records were already encoded with a
-     * StreamEncoder of this writer's version (the converter buffers
+     * StreamEncoder of the header's version (the converter buffers
      * per-stream payloads this way while the input interleaves streams).
      * Equivalent to begin_stream + the add_steps + end_stream.
      */
@@ -87,6 +76,7 @@ class TraceFileWriter
     std::uint64_t declared_streams_ = 0;
     std::uint64_t streams_written_ = 0;
     std::uint64_t records_written_ = 0;
+    std::uint8_t version_ = kFormatVersion;
     bool in_stream_ = false;
     std::uint32_t stream_sm_ = 0;
     std::uint32_t stream_warp_ = 0;

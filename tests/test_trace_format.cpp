@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the `.mtrc` codec (src/workloads/trace/trace_format.*):
  * varint/zigzag/RLE primitives at their boundaries, encode/decode
- * round-trips, file IO, stats, and downsampling.
+ * round-trips, file IO, TraceReader stats, and downsampling.
  */
 #include <gtest/gtest.h>
 
@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <string>
 
+#include "trace_test_util.hpp"
 #include "workloads/trace/trace_format.hpp"
+#include "workloads/trace/trace_reader.hpp"
 
 using namespace morpheus;
 using namespace morpheus::trace;
@@ -26,6 +28,34 @@ varint_round_trip(std::uint64_t v)
     std::uint64_t out = 0;
     EXPECT_TRUE(get_varint(p, buf.data() + buf.size(), out));
     EXPECT_EQ(p, buf.data() + buf.size());
+    return out;
+}
+
+/** Expands an RLE payload through TraceReader::Cursor::pull: @p in is
+ *  written as the one stream of an RLE container, which is opened
+ *  without the record walk (the bytes are not records). */
+std::vector<std::uint8_t>
+rle_round_trip(const std::vector<std::uint8_t> &in)
+{
+    TraceHeader header;
+    header.num_sms = 1;
+    header.warps_per_sm = 1;
+    header.rle = true;
+    std::vector<std::uint8_t> bytes;
+    put_header(bytes, header, 1);
+    put_stream_section(bytes, 0, 0, 0, in, /*rle=*/true);
+
+    TraceReader reader;
+    std::string error;
+    if (!reader.init(bytes.data(), bytes.size(), error, /*validate_records=*/false)) {
+        ADD_FAILURE() << error;
+        return {};
+    }
+    std::vector<std::uint8_t> out;
+    TraceReader::Cursor c = reader.cursor(0);
+    for (std::uint8_t b; c.pull(b);)
+        out.push_back(b);
+    EXPECT_TRUE(c.exhausted());
     return out;
 }
 
@@ -149,14 +179,8 @@ TEST(TraceCodec, RleRoundTrips)
         std::vector<std::uint8_t>(1000, 0),
         std::vector<std::uint8_t>(257, 0xAB),
     };
-    for (const auto &in : cases) {
-        const auto packed = rle_compress(in);
-        std::vector<std::uint8_t> out;
-        std::string error;
-        ASSERT_TRUE(rle_decompress(packed.data(), packed.size(), in.size(), out, error))
-            << error;
-        EXPECT_EQ(out, in);
-    }
+    for (const auto &in : cases)
+        EXPECT_EQ(rle_round_trip(in), in);
 
     // Mixed literals and runs, deterministic pseudo-random content.
     std::vector<std::uint8_t> mixed;
@@ -167,11 +191,7 @@ TEST(TraceCodec, RleRoundTrips)
         const int run = b < 64 ? 1 + static_cast<int>(b % 9) : 1;
         mixed.insert(mixed.end(), run, b);
     }
-    const auto packed = rle_compress(mixed);
-    std::vector<std::uint8_t> out;
-    std::string error;
-    ASSERT_TRUE(rle_decompress(packed.data(), packed.size(), mixed.size(), out, error));
-    EXPECT_EQ(out, mixed);
+    EXPECT_EQ(rle_round_trip(mixed), mixed);
 }
 
 TEST(TraceFormat, EncodeDecodeRoundTrip)
@@ -230,7 +250,7 @@ TEST(TraceFormat, SaveRefusesOutOfCeilingTraces)
 TEST(TraceFormat, StatsCountTypesAndClasses)
 {
     const Trace t = sample_trace();
-    const TraceStats st = t.stats();
+    const TraceStats st = test::EncodedTrace(t).stats();
     EXPECT_EQ(st.records, t.total_records());
     EXPECT_EQ(st.records, 250u);
     EXPECT_EQ(st.mem_records, st.reads + st.writes + st.atomics);
@@ -265,7 +285,7 @@ TEST(TraceFormat, StatsCountClassCollisions)
     push(30, kClassUncompressed);
     push(30, kClassUnknown);      // unknown never participates
     t.streams.push_back(std::move(stream));
-    EXPECT_EQ(t.stats().class_collisions, 1u);
+    EXPECT_EQ(test::EncodedTrace(t).stats().class_collisions, 1u);
 }
 
 TEST(TraceFormat, V1EncodeDropsPerLineClasses)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Fuzz-style robustness tests for the `.mtrc` parsers (the materializing
- * decoder, the streaming TraceReader, and the text-trace converter):
+ * Fuzz-style robustness tests for the `.mtrc` parser (TraceReader, which
+ * Trace::decode drains into memory) and the text-trace converter:
  * truncated headers, corrupt varints, impossible record counts,
  * v1/v2 version confusion, malformed converter text, and thousands of
  * random bit/byte mutations must all produce a clean error — never UB,
@@ -64,9 +64,9 @@ valid_trace_bytes(bool rle, std::uint8_t version = kFormatVersion)
 
 /** Decoding must return a verdict (and on success, sane bounds) —
  *  anything else (crash, sanitizer report, hang) fails the test run.
- *  The streaming TraceReader runs over the same bytes and must agree
- *  with the materializing decoder, except for the per-file record
- *  ceiling that only materializing decodes enforce. */
+ *  TraceReader over the same bytes must agree with Trace::decode, except
+ *  for the per-file record ceiling that only materializing decodes
+ *  enforce. */
 void
 expect_no_ub(const std::vector<std::uint8_t> &bytes)
 {
@@ -228,6 +228,10 @@ TEST(TraceFuzz, CraftedImpossibleCounts)
         std::string error;
         EXPECT_FALSE(Trace::decode(bytes.data(), bytes.size(), out, error));
         EXPECT_FALSE(error.empty());
+        TraceReader reader;
+        std::string rerror;
+        EXPECT_FALSE(reader.init(bytes.data(), bytes.size(), rerror));
+        EXPECT_FALSE(rerror.empty());
     };
 
     // Unknown flag bits.
@@ -278,6 +282,26 @@ TEST(TraceFuzz, CraftedImpossibleCounts)
         put_varint(b, 0);
         put_varint(b, 2);
     });
+    // Maximal slots (65536 x 65536) and 2^32-1 streams but no directory:
+    // a 20-byte file must not make the reader reserve 2^32 entries.
+    auto huge_stream_count = [](std::vector<std::uint8_t> &b) {
+        put_varint(b, kMaxTraceSms);
+        put_varint(b, kMaxTraceWarpsPerSm);
+        put_varint(b, kLineBytes);
+        put_varint(b, 0);
+        put_varint(b, 0xFFFF'FFFFULL);
+    };
+    craft(huge_stream_count);
+    {
+        std::vector<std::uint8_t> bytes = {'M', 'T', 'R', 'C', kFormatVersion, 0x00};
+        huge_stream_count(bytes);
+        ASSERT_EQ(bytes.size(), 20u);
+        TraceReader reader;
+        std::string error;
+        EXPECT_FALSE(reader.init(bytes.data(), bytes.size(), error));
+        EXPECT_EQ(error, "impossible stream count");
+    }
+
     // Stream record count impossible for its payload size.
     craft([](std::vector<std::uint8_t> &b) {
         put_varint(b, 1);

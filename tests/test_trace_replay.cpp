@@ -5,6 +5,9 @@
  *    RunResult (every counter and latency) bit-identically, on both a
  *    conventional and a Morpheus system;
  *  - record→replay→re-record produces a byte-identical trace;
+ *  - replay from a memory-mapped file matches the live run with and
+ *    without the embedded block profile, and empty streams replay as
+ *    warps that retire without issuing;
  *  - the trace_replay scenario's report is identical under --jobs 1 and
  *    --jobs N (replay determinism through the whole harness);
  *  - downsampled traces still replay end-to-end.
@@ -19,6 +22,7 @@
 #include "harness/report.hpp"
 #include "harness/sweep_engine.hpp"
 #include "scenarios/scenarios.hpp"
+#include "trace_test_util.hpp"
 #include "workloads/synthetic_workload.hpp"
 #include "workloads/trace/trace_recorder.hpp"
 #include "workloads/trace/trace_workload.hpp"
@@ -83,9 +87,10 @@ TEST(TraceReplay, ReproducesSyntheticRunExactly)
     const trace::Trace trace = recorded_trace();
     EXPECT_GT(trace.total_records(), 0u);
 
+    const test::EncodedTrace encoded(trace);
     for (const SystemSetup &setup : {conventional_setup(), morpheus_test_setup()}) {
         const RunResult live = run_setup(setup, params);
-        TraceWorkload replay(trace);
+        TraceWorkload replay(encoded.reader);
         const RunResult replayed = run_workload(setup, replay);
 
         // The acceptance criterion: identical timing and identical
@@ -102,9 +107,10 @@ TEST(TraceReplay, ReproducesSyntheticRunExactly)
 TEST(TraceReplay, RecordReplayRerecordIsByteIdentical)
 {
     const trace::Trace first = recorded_trace();
-    const auto first_bytes = first.encode();
+    const test::EncodedTrace encoded(first);
+    const auto &first_bytes = encoded.bytes;
 
-    TraceWorkload replay(first);
+    TraceWorkload replay(encoded.reader);
     trace::Trace second = trace::record_trace(replay, kSms, &first.profile);
     EXPECT_EQ(second.encode(), first_bytes);
 
@@ -122,8 +128,8 @@ TEST(TraceReplay, WorkloadRerunsAfterReconfigure)
 {
     // GpuSystem::run() calls configure() on every run; a TraceWorkload
     // instance must replay identically when reused.
-    const trace::Trace trace = recorded_trace();
-    TraceWorkload replay(trace);
+    const test::EncodedTrace encoded(recorded_trace());
+    TraceWorkload replay(encoded.reader);
     const RunResult a = run_workload(conventional_setup(), replay);
     const RunResult b = run_workload(conventional_setup(), replay);
     EXPECT_TRUE(run_results_identical(a, b));
@@ -131,19 +137,21 @@ TEST(TraceReplay, WorkloadRerunsAfterReconfigure)
 
 TEST(TraceReplay, RedistributesAcrossDifferentSmCounts)
 {
-    const trace::Trace trace = recorded_trace();
-    const std::uint64_t recorded = trace.total_records();
+    const test::EncodedTrace encoded(recorded_trace());
+    TraceWorkload recorded_layout(encoded.reader);
+    const std::uint64_t recorded =
+        run_workload(conventional_setup(), recorded_layout).instructions;
+    EXPECT_GT(recorded, 0u);
 
     for (std::uint32_t sms : {1u, 2u, 5u}) {
-        TraceWorkload replay(trace);
+        TraceWorkload replay(encoded.reader);
         SystemSetup setup;
         setup.compute_sms = sms;
         const RunResult r = run_workload(setup, replay);
         // Strong scaling: all recorded work replays regardless of the SM
         // count it lands on.
-        EXPECT_GT(r.instructions, 0u);
+        EXPECT_EQ(r.instructions, recorded) << sms << " SMs";
         EXPECT_GT(r.cycles, 0u);
-        EXPECT_EQ(recorded, trace.total_records());
     }
 }
 
@@ -188,7 +196,8 @@ TEST(TraceReplay, DownsampledTraceReplaysEndToEnd)
     EXPECT_LT(trace.total_records(), before);
     EXPECT_GT(trace.total_records(), 0u);
 
-    TraceWorkload replay(trace);
+    const test::EncodedTrace encoded(trace);
+    TraceWorkload replay(encoded.reader);
     const RunResult r = run_workload(conventional_setup(), replay);
     EXPECT_GT(r.cycles, 0u);
     EXPECT_GT(r.instructions, 0u);
@@ -201,7 +210,8 @@ TEST(TraceReplay, ProfilelessTraceSynthesizesRecordedClasses)
     // EVERY line of a multi-line step, not just the first (the v1 gap).
     trace::Trace trace = recorded_trace();
     trace.has_profile = false;
-    TraceWorkload replay(trace);
+    const test::EncodedTrace encoded(trace);
+    TraceWorkload replay(encoded.reader);
 
     std::uint64_t checked = 0;
     std::uint64_t beyond_first = 0;
@@ -247,10 +257,73 @@ TEST(TraceReplay, ClassCollisionsResolveToHighestCompression)
         push(low_first ? trace::kClassHigh : trace::kClassLow);
         t.streams.push_back(std::move(stream));
 
-        EXPECT_EQ(t.stats().class_collisions, 1u);
-        TraceWorkload replay(t);
+        const test::EncodedTrace encoded(t);
+        EXPECT_EQ(encoded.stats().class_collisions, 1u);
+        TraceWorkload replay(encoded.reader);
         const BdiResult bdi = bdi_compress(replay.synthesize_block(42));
         EXPECT_EQ(bdi.level, CompLevel::kHigh)
             << (low_first ? "low recorded first" : "high recorded first");
     }
+}
+
+TEST(TraceReplay, FileReplayMatchesLiveRun)
+{
+    // Through a file and the memory-mapped reader, both with the embedded
+    // profile and profile-less (the per-line class fallback): the two
+    // synthesize_block code paths. Class-faithful blocks compress to the
+    // recorded level, so even the Morpheus system's extended-LLC slot
+    // sizing, and with it every counter, matches the live run.
+    const WorkloadParams params = small_params();
+    trace::Trace t = recorded_trace();
+    const std::string path = ::testing::TempDir() + "/replay_live.mtrc";
+    std::string error;
+
+    for (bool with_profile : {true, false}) {
+        t.has_profile = with_profile;
+        ASSERT_TRUE(t.save_file(path, error)) << error;
+        trace::TraceReader reader;
+        ASSERT_TRUE(reader.open(path, error)) << error;
+
+        for (const SystemSetup &setup : {conventional_setup(), morpheus_test_setup()}) {
+            TraceWorkload replay(reader);
+            const RunResult live = run_setup(setup, params);
+            const RunResult replayed = run_workload(setup, replay);
+            EXPECT_TRUE(run_results_identical(live, replayed))
+                << "profile=" << with_profile << " morpheus=" << setup.morpheus.enabled
+                << ": cycles " << live.cycles << " vs " << replayed.cycles;
+        }
+    }
+    std::remove(path.c_str());
+}
+
+TEST(TraceReplay, EmptyStreamsReplayAsRetiredWarps)
+{
+    // A --keep 0 downsample leaves every stream present but empty; replay
+    // must treat each as a warp that retires without issuing (well
+    // defined, no asserts) — the live run of the same workload with no
+    // work at all.
+    trace::Trace t = recorded_trace();
+    trace::downsample_trace(t, 0.0);
+    ASSERT_EQ(t.total_records(), 0u);
+    const std::string path = ::testing::TempDir() + "/empty_streams.mtrc";
+    std::string error;
+    ASSERT_TRUE(t.save_file(path, error)) << error;
+
+    trace::TraceReader reader;
+    ASSERT_TRUE(reader.open(path, error)) << error;
+    trace::TraceStats st;
+    ASSERT_TRUE(reader.stats(st, error)) << error;
+    EXPECT_EQ(st.records, 0u);
+    EXPECT_EQ(st.empty_streams, reader.stream_count());
+    ASSERT_GT(reader.stream_count(), 0u);
+
+    WorkloadParams idle = small_params();
+    idle.total_mem_instrs = 0;
+    TraceWorkload replay(reader);
+    const RunResult replayed = run_workload(morpheus_test_setup(), replay);
+    const RunResult live = run_setup(morpheus_test_setup(), idle);
+    EXPECT_TRUE(run_results_identical(live, replayed))
+        << "cycles " << live.cycles << " vs " << replayed.cycles;
+    EXPECT_EQ(replayed.instructions, 0u);
+    std::remove(path.c_str());
 }

@@ -3,9 +3,8 @@
  * Streaming trace IO guarantees (trace_reader/trace_writer):
  *  - TraceFileWriter output is byte-identical to Trace::encode() of the
  *    equivalent materialized trace (one canonical encoding);
- *  - streaming replay (TraceWorkload over a TraceReader) produces a
- *    RunResult identical to materialized replay of the same file;
- *  - TraceReader::stats matches Trace::stats;
+ *  - TraceReader reads back the header fields, and its stats() pass
+ *    matches an independent count over the in-memory steps;
  *  - the headline scaling claim: replaying a generated >100 MB trace
  *    keeps peak trace-resident HEAP memory bounded by a small constant
  *    (the file itself is memory-mapped, records are decoded one at a
@@ -16,6 +15,8 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <bit>
+#include <map>
 #include <new>
 #include <string>
 #include <vector>
@@ -27,8 +28,6 @@
 #define TRACKED_SIZE(p, n) (n)
 #endif
 
-#include "harness/runner.hpp"
-#include "harness/sweep_engine.hpp"
 #include "workloads/synthetic_workload.hpp"
 #include "workloads/trace/trace_reader.hpp"
 #include "workloads/trace/trace_recorder.hpp"
@@ -103,7 +102,9 @@ operator delete[](void *p) noexcept
     ::operator delete(p);
 }
 
-void
+// Out of line: inlined next to an inlined operator new, GCC pairs that
+// malloc with this free and warns (-Wmismatched-new-delete).
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t n) noexcept
 {
     track_free(p, n);
@@ -141,18 +142,6 @@ small_params()
     return params;
 }
 
-SystemSetup
-morpheus_test_setup()
-{
-    SystemSetup setup;
-    setup.compute_sms = kSms;
-    setup.morpheus.enabled = true;
-    setup.morpheus.cache_sms = 4;
-    setup.morpheus.kernel.compression = true;
-    setup.morpheus.prediction = PredictionMode::kBloom;
-    return setup;
-}
-
 trace::Trace
 recorded_trace()
 {
@@ -165,17 +154,9 @@ recorded_trace()
 void
 write_via_writer(const trace::Trace &t, const std::string &path)
 {
-    trace::TraceFileWriter::Header header;
-    header.name = t.name;
-    header.num_sms = t.num_sms;
-    header.warps_per_sm = t.warps_per_sm;
-    header.rle = t.rle;
-    header.has_profile = t.has_profile;
-    header.profile = t.profile;
-
     trace::TraceFileWriter writer;
     std::string error;
-    ASSERT_TRUE(writer.open(path, header, t.streams.size(), error)) << error;
+    ASSERT_TRUE(writer.open(path, t, t.streams.size(), error)) << error;
     for (const auto &stream : t.streams) {
         ASSERT_TRUE(writer.begin_stream(stream.sm, stream.warp, error)) << error;
         for (const auto &step : stream.steps)
@@ -183,6 +164,41 @@ write_via_writer(const trace::Trace &t, const std::string &path)
         ASSERT_TRUE(writer.end_stream(error)) << error;
     }
     ASSERT_TRUE(writer.close(error)) << error;
+}
+
+/** TraceStats counted straight off the in-memory steps: the oracle for
+ *  TraceReader::stats. */
+trace::TraceStats
+count_stats(const trace::Trace &t)
+{
+    trace::TraceStats st;
+    // Per unique line: a bitmask of the known classes it was recorded with.
+    std::map<LineAddr, unsigned> known_classes;
+    for (const auto &stream : t.streams) {
+        st.empty_streams += stream.steps.empty();
+        for (const auto &step : stream.steps) {
+            ++st.records;
+            st.alu_instrs += step.alu_instrs;
+            if (step.num_lines == 0)
+                continue;
+            ++st.mem_records;
+            st.lines += step.num_lines;
+            st.reads += step.type == AccessType::kRead;
+            st.writes += step.type == AccessType::kWrite;
+            st.atomics += step.type == AccessType::kAtomic;
+            for (std::uint32_t l = 0; l < step.num_lines; ++l) {
+                ++st.class_counts[step.cls[l]];
+                unsigned &mask = known_classes[step.lines[l]];
+                if (step.cls[l] != trace::kClassUnknown)
+                    mask |= 1u << step.cls[l];
+            }
+        }
+    }
+    st.unique_lines = known_classes.size();
+    st.footprint_bytes = st.unique_lines * kLineBytes;
+    for (const auto &entry : known_classes)
+        st.class_collisions += std::popcount(entry.second) > 1;
+    return st;
 }
 
 std::vector<std::uint8_t>
@@ -231,50 +247,21 @@ TEST(TraceStream, ReaderStatsMatchMaterializedStats)
 
     trace::TraceStats streamed;
     ASSERT_TRUE(reader.stats(streamed, error)) << error;
-    const trace::TraceStats materialized = t.stats();
-    EXPECT_EQ(streamed.records, materialized.records);
-    EXPECT_EQ(streamed.mem_records, materialized.mem_records);
-    EXPECT_EQ(streamed.lines, materialized.lines);
-    EXPECT_EQ(streamed.reads, materialized.reads);
-    EXPECT_EQ(streamed.writes, materialized.writes);
-    EXPECT_EQ(streamed.atomics, materialized.atomics);
-    EXPECT_EQ(streamed.alu_instrs, materialized.alu_instrs);
+    const trace::TraceStats counted = count_stats(t);
+    EXPECT_EQ(streamed.records, counted.records);
+    EXPECT_EQ(streamed.mem_records, counted.mem_records);
+    EXPECT_EQ(streamed.lines, counted.lines);
+    EXPECT_EQ(streamed.reads, counted.reads);
+    EXPECT_EQ(streamed.writes, counted.writes);
+    EXPECT_EQ(streamed.atomics, counted.atomics);
+    EXPECT_EQ(streamed.alu_instrs, counted.alu_instrs);
     for (int c = 0; c < 4; ++c)
-        EXPECT_EQ(streamed.class_counts[c], materialized.class_counts[c]) << c;
-    EXPECT_EQ(streamed.unique_lines, materialized.unique_lines);
-    EXPECT_EQ(streamed.empty_streams, materialized.empty_streams);
-    EXPECT_EQ(streamed.class_collisions, materialized.class_collisions);
+        EXPECT_EQ(streamed.class_counts[c], counted.class_counts[c]) << c;
+    EXPECT_EQ(streamed.unique_lines, counted.unique_lines);
+    EXPECT_EQ(streamed.footprint_bytes, counted.footprint_bytes);
+    EXPECT_EQ(streamed.empty_streams, counted.empty_streams);
+    EXPECT_EQ(streamed.class_collisions, counted.class_collisions);
     std::remove(path.c_str());
-}
-
-TEST(TraceStream, StreamingReplayIdenticalToMaterializedReplay)
-{
-    trace::Trace t = recorded_trace();
-    const std::string path = ::testing::TempDir() + "/replay_equiv.mtrc";
-    std::string error;
-
-    // Both with the embedded profile and profile-less (the per-line class
-    // fallback) — the two synthesize_block code paths.
-    for (bool with_profile : {true, false}) {
-        t.has_profile = with_profile;
-        ASSERT_TRUE(t.save_file(path, error)) << error;
-
-        trace::Trace loaded;
-        ASSERT_TRUE(trace::Trace::load_file(path, loaded, error)) << error;
-        TraceWorkload materialized(loaded);
-
-        trace::TraceReader reader;
-        ASSERT_TRUE(reader.open(path, error)) << error;
-        TraceWorkload streaming(reader);
-        EXPECT_TRUE(streaming.streaming());
-        EXPECT_FALSE(materialized.streaming());
-
-        const RunResult a = run_workload(morpheus_test_setup(), materialized);
-        const RunResult b = run_workload(morpheus_test_setup(), streaming);
-        EXPECT_TRUE(run_results_identical(a, b))
-            << "profile=" << with_profile << ": cycles " << a.cycles << " vs " << b.cycles;
-        std::remove(path.c_str());
-    }
 }
 
 TEST(TraceStream, RejectsCorruptFilesAtOpen)
@@ -317,7 +304,7 @@ TEST(TraceStream, LargeTraceReplaysWithBoundedHeap)
     constexpr std::uint32_t kRecordsPerStream = 12500;
 
     {
-        trace::TraceFileWriter::Header header;
+        trace::TraceHeader header;
         header.name = "large-synthetic";
         header.num_sms = kBigSms;
         header.warps_per_sm = kWarps;
@@ -394,37 +381,5 @@ TEST(TraceStream, LargeTraceReplaysWithBoundedHeap)
     // rounding; materializing would need >100 MB of TraceStep storage.
     EXPECT_LT(growth, 4u * 1024 * 1024)
         << "peak heap growth " << growth << " bytes for a " << file_size << "-byte trace";
-    std::remove(path.c_str());
-}
-
-TEST(TraceStream, EmptyStreamsReplayAsRetiredWarps)
-{
-    // A --keep 0 downsample leaves every stream present but empty; the
-    // streaming replay must treat each as a warp that retires without
-    // issuing (well-defined, no asserts), matching materialized replay.
-    trace::Trace t = recorded_trace();
-    trace::downsample_trace(t, 0.0);
-    ASSERT_EQ(t.total_records(), 0u);
-    const std::string path = ::testing::TempDir() + "/empty_streams.mtrc";
-    std::string error;
-    ASSERT_TRUE(t.save_file(path, error)) << error;
-
-    trace::TraceReader reader;
-    ASSERT_TRUE(reader.open(path, error)) << error;
-    trace::TraceStats st;
-    ASSERT_TRUE(reader.stats(st, error)) << error;
-    EXPECT_EQ(st.records, 0u);
-    EXPECT_EQ(st.empty_streams, reader.stream_count());
-    ASSERT_GT(reader.stream_count(), 0u);
-
-    TraceWorkload streaming(reader);
-    const RunResult a = run_workload(morpheus_test_setup(), streaming);
-
-    trace::Trace loaded;
-    ASSERT_TRUE(trace::Trace::load_file(path, loaded, error)) << error;
-    TraceWorkload materialized(loaded);
-    const RunResult b = run_workload(morpheus_test_setup(), materialized);
-    EXPECT_TRUE(run_results_identical(a, b));
-    EXPECT_EQ(a.instructions, 0u);
     std::remove(path.c_str());
 }

@@ -1,18 +1,25 @@
 #!/bin/sh
 # CLI edge-case drill for the trace tool (registered as the
-# `trace_cli_smoke` ctest entry; $1 = directory with the built binaries).
+# `trace_cli_smoke` ctest entry; $1 = directory with the built binaries,
+# $2 = the source tree, for the committed traces under bench/traces/).
 #
 #  - `downsample --keep 0` is a legal edge: every stream survives with
 #    zero records, stat reports them, verify stays byte-canonical, and
 #    replay terminates with zero instructions.
 #  - `convert` rejects malformed text with a line-numbered error and
 #    round-trips well-formed text through verify/stat.
+#  - a 20-byte header declaring 2^32-1 streams with no directory fails
+#    with a message (exit 1) in `stat` and the trace_corpus scenario,
+#    rather than aborting on an out-of-memory reserve.
+#  - every committed .mtrc re-encodes byte-identically (`verify`), which
+#    pins the one encoder and the one decoder against the committed bytes.
 #  - `morpheus_cli` rejects removed flags (`--run-threads`, the sweep
 #    journal's `--journal`/`--resume`, the checkpoint `--checkpoint`/
 #    `--restore`) instead of silently ignoring them.
 set -eu
 
 BUILD="$1"
+SRC="$2"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 export MORPHEUS_WORK_SCALE=0.02
@@ -61,6 +68,29 @@ fi
 grep -Eq 'format version +2' "$TMP/okstat.txt"
 grep -Eq 'workload +smoke' "$TMP/okstat.txt"
 "$BUILD/morpheus_cli" --scenario trace_replay --trace "$TMP/ok.mtrc" --jobs 1 > /dev/null
+
+# --- impossible stream count fails cleanly ---------------------------------
+# MTRC v2, no flags, 65536 SMs, 65536 warps, 128-byte lines, empty name,
+# stream_count = 2^32-1, and no stream directory at all.
+printf 'MTRC\002\000\200\200\004\200\200\004\200\001\000\377\377\377\377\017' \
+    > "$TMP/huge_count.mtrc"
+test "$(wc -c < "$TMP/huge_count.mtrc")" -eq 20
+fails_cleanly() {
+    status=0
+    "$@" > /dev/null 2> "$TMP/huge_err.txt" || status=$?
+    if [ "$status" -ne 1 ] || ! grep -q 'impossible stream count' "$TMP/huge_err.txt"; then
+        echo "expected exit 1 with a message, got $status: $*" >&2
+        cat "$TMP/huge_err.txt" >&2
+        exit 1
+    fi
+}
+fails_cleanly "$BUILD/morpheus_trace" stat "$TMP/huge_count.mtrc"
+fails_cleanly "$BUILD/morpheus_cli" --scenario trace_corpus --trace "$TMP/huge_count.mtrc"
+
+# --- committed traces are canonical ----------------------------------------
+for f in "$SRC"/bench/traces/*.mtrc "$SRC"/bench/traces/corpus/*.mtrc; do
+    "$BUILD/morpheus_trace" verify "$f" > /dev/null
+done
 
 # --- removed flags fail loudly ----------------------------------------------
 rejects() {

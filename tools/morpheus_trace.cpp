@@ -24,6 +24,7 @@
  *
  * Exit codes: 0 ok, 1 operation failed, 2 usage error.
  */
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -37,7 +38,6 @@
 #include "workloads/trace/trace_convert.hpp"
 #include "workloads/trace/trace_reader.hpp"
 #include "workloads/trace/trace_recorder.hpp"
-#include "workloads/trace/trace_workload.hpp"
 
 using namespace morpheus;
 
@@ -145,10 +145,9 @@ cmd_record(int argc, char **argv)
         std::fprintf(stderr, "morpheus_trace: %s\n", error.c_str());
         return 1;
     }
-    const trace::TraceStats st = trace.stats();
     std::printf("recorded %s: %" PRIu64 " records over %zu warp streams (%u SMs) -> %s\n",
-                params.name.c_str(), st.records, trace.streams.size(), trace.num_sms,
-                out_path.c_str());
+                params.name.c_str(), trace.total_records(), trace.streams.size(),
+                trace.num_sms, out_path.c_str());
     return 0;
 }
 
@@ -279,33 +278,18 @@ cmd_downsample(const char *in_path, const char *out_path, const char *keep_arg)
 int
 cmd_verify(const char *path)
 {
-    // Read the raw bytes ourselves: the round-trip guarantee is against
-    // the *original file*, not against our own re-encode (which would
-    // trivially pass for any decodable input).
-    std::FILE *f = std::fopen(path, "rb");
-    if (!f) {
-        std::fprintf(stderr, "morpheus_trace: cannot open '%s'\n", path);
-        return 1;
-    }
-    std::vector<std::uint8_t> original;
-    std::uint8_t buf[64 * 1024];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        original.insert(original.end(), buf, buf + n);
-    const bool read_ok = std::ferror(f) == 0;
-    std::fclose(f);
-    if (!read_ok) {
-        std::fprintf(stderr, "morpheus_trace: read error on '%s'\n", path);
-        return 1;
-    }
-
+    // Compare against the raw file bytes: the round-trip guarantee is
+    // against the *original file*, not against our own re-encode (which
+    // would trivially pass for any decodable input).
+    trace::MappedFile file;
     trace::Trace trace;
     std::string error;
-    if (!trace::Trace::decode(original.data(), original.size(), trace, error)) {
+    if (!file.open(path, error) || !trace::Trace::decode(file.data(), file.size(), trace, error)) {
         std::fprintf(stderr, "morpheus_trace: %s\n", error.c_str());
         return 1;
     }
-    if (trace.encode() != original) {
+    const std::vector<std::uint8_t> encoded = trace.encode();
+    if (!std::equal(encoded.begin(), encoded.end(), file.data(), file.data() + file.size())) {
         std::fprintf(stderr,
                      "morpheus_trace: %s decodes but is not canonically encoded "
                      "(re-encode differs from the file bytes)\n",
