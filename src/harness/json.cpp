@@ -23,13 +23,6 @@ JsonValue::number_or(const std::string &key, double fallback) const
     return v && v->type == Type::kNumber ? v->number : fallback;
 }
 
-std::string
-JsonValue::string_or(const std::string &key, const std::string &fallback) const
-{
-    const JsonValue *v = get(key);
-    return v && v->type == Type::kString ? v->string : fallback;
-}
-
 namespace {
 
 class JsonParser
@@ -79,9 +72,9 @@ class JsonParser
         return true;
     }
 
-    /** Nesting bound: BENCH files and serve requests are a few levels
-     *  deep; anything past this is hostile or corrupt input, rejected
-     *  before the recursive-descent parser can exhaust the stack. */
+    /** Nesting bound: BENCH files are a few levels deep; anything past
+     *  this is hostile or corrupt input, rejected before the
+     *  recursive-descent parser can exhaust the stack. */
     static constexpr int kMaxDepth = 64;
 
     bool

@@ -3,12 +3,12 @@
 
 /**
  * @file
- * Minimal DOM-style JSON reader shared by the report loader
- * (harness/report.cpp) and the serve request protocol (serve/serve.cpp):
- * objects, arrays, strings, numbers, booleans, null, with friendly
- * byte-offset errors, a recursion-depth cap, and strict rejection of
- * non-finite numbers. Writing stays with each producer (RunReport owns
- * its stable layout); only parsing is shared.
+ * Minimal DOM-style JSON reader behind the report loader
+ * (harness/report.cpp, which morpheus_bench_diff uses to load BENCH
+ * files): objects, arrays, strings, numbers, booleans, null, with
+ * friendly byte-offset errors, a recursion-depth cap, and strict
+ * rejection of non-finite numbers. Writing stays with RunReport, which
+ * owns its stable layout.
  */
 
 #include <cstdint>
@@ -43,11 +43,8 @@ struct JsonValue
      *  key is absent (or this value is not an object). */
     const JsonValue *get(const std::string &key) const;
 
-    /** @name Typed accessors with fallbacks (absent/mistyped -> fallback) */
-    ///@{
+    /** Typed accessor with a fallback (absent/mistyped -> fallback). */
     double number_or(const std::string &key, double fallback) const;
-    std::string string_or(const std::string &key, const std::string &fallback) const;
-    ///@}
 };
 
 /**

@@ -64,15 +64,6 @@ write_string(std::ostream &os, const std::string &s)
     os << '"';
 }
 
-// JSON parsing lives in harness/json.{hpp,cpp} — shared with the serve
-// request protocol. Only the stable writers stay here.
-
-double
-number_or(const JsonValue *v, double fallback)
-{
-    return v && v->type == JsonValue::Type::kNumber ? v->number : fallback;
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -269,13 +260,13 @@ RunReport::parse_json(const std::string &text, RunReport &out, std::string &erro
 
     out = RunReport(scenario->string);
     out.schema_version_ = static_cast<int>(version->number);
-    out.work_scale_ = number_or(root.get("work_scale"), 1.0);
+    out.work_scale_ = root.number_or("work_scale", 1.0);
     if (const JsonValue *det = root.get("deterministic"))
         out.deterministic_ = det->type != JsonValue::Type::kBool || det->boolean;
     if (const JsonValue *env = root.get("environment");
         env && env->type == JsonValue::Type::kObject) {
-        out.jobs_ = static_cast<unsigned>(number_or(env->get("jobs"), 0));
-        out.wall_ms_ = number_or(env->get("wall_ms"), 0);
+        out.jobs_ = static_cast<unsigned>(env->number_or("jobs", 0));
+        out.wall_ms_ = env->number_or("wall_ms", 0);
     }
 
     for (std::size_t i = 0; i < entries->array.size(); ++i) {

@@ -45,10 +45,9 @@ run_scenario_with_report(const Scenario &s, ScenarioOptions opts, const std::str
 
     // --cache-dir: memoize grid points in an on-disk content-addressed
     // store (docs/CACHE_FORMAT.md). The cache outlives each SweepEngine
-    // the scenario builds, not the process — embedders that want a
-    // longer-lived store (the serve daemon) pass result_store directly.
+    // the scenario builds, not the process.
     std::optional<ResultCache> cache;
-    if (!opts.cache_dir.empty() && !opts.result_store) {
+    if (!opts.cache_dir.empty()) {
         cache.emplace(opts.cache_dir);
         if (!cache->ok()) {
             std::fprintf(stderr, "cannot open result cache '%s': %s\n",

@@ -49,18 +49,12 @@ struct ScenarioOptions
     /** @name Result memoization (docs/CACHE_FORMAT.md)
      * `--cache-dir DIR` fills cache_dir; run_scenario_with_report then
      * opens a ResultCache there and points result_store at it for the
-     * scenario's duration. Embedders (the serve daemon) set result_store
-     * directly and leave cache_dir empty.
+     * scenario's duration.
      */
     ///@{
     std::string cache_dir;
     ResultStore *result_store = nullptr;
     ///@}
-
-    /** Shared simulation-concurrency gate (the serve daemon's pool
-     *  governor; harness/sweep_engine.hpp). Not owned; nullptr runs
-     *  ungated. */
-    class ConcurrencyGate *sim_gate = nullptr;
 };
 
 /** One runnable experiment (a paper figure/table or an example sweep). */
@@ -81,7 +75,7 @@ const Scenario *find_scenario(const std::string &name);
 void list_scenarios(std::ostream &os);
 
 /**
- * Entry point shared by the bench driver stubs: parses `--jobs N`,
+ * Entry point behind `morpheus_cli --scenario NAME`: parses `--jobs N`,
  * `--format text|csv|json`, `--trace FILE` (replay a specific `.mtrc`
  * trace; see docs/TRACE_FORMAT.md), and `--output FILE` (write a
  * BENCH_<scenario>.json report; see docs/REPORT_SCHEMA.md), then runs

@@ -59,7 +59,6 @@ SweepEngine::configure(const ScenarioOptions &opts)
     cfg.retries = opts.retries;
     cfg.tolerant = true;
     cfg.store = opts.result_store;
-    cfg.gate = opts.sim_gate;
     config_ = std::move(cfg);
 }
 
@@ -163,29 +162,6 @@ SweepEngine::run_all()
                     // safety drill).
                     const std::function<RunResult()> attempt_run =
                         [&]() -> RunResult {
-                        // The gate bounds concurrent *simulations* across
-                        // every sweep sharing it; cache hits never get
-                        // here. Waiting for a permit must not eat the
-                        // watchdog budget, so the deadline re-arms after
-                        // acquisition.
-                        struct GatePass
-                        {
-                            ConcurrencyGate *g;
-                            explicit GatePass(ConcurrencyGate *gate_) : g(gate_)
-                            {
-                                if (g)
-                                    g->acquire();
-                            }
-                            ~GatePass()
-                            {
-                                if (g)
-                                    g->release();
-                            }
-                        } pass(config_.gate);
-                        if (config_.gate && config_.timeout_ms > 0)
-                            slot.deadline_ms.store(
-                                steady_ms() +
-                                static_cast<std::int64_t>(config_.timeout_ms));
                         if (faulted && config_.fault.cycle == 0)
                             harness_fault(config_.fault.action, slot.cancel);
                         return run_setup_controlled(job.setup, job.params, rc);

@@ -2,12 +2,10 @@
 #define MORPHEUS_HARNESS_SWEEP_ENGINE_HPP_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -209,62 +207,6 @@ class ResultStore
 };
 
 /**
- * A counting semaphore bounding how many *simulations* execute at once
- * across every sweep that shares it. The serve daemon hands one gate to
- * all in-flight sweeps so N admitted requests × M workers each cannot
- * oversubscribe the host: workers park here right before simulating
- * (cache hits never wait — they do no simulation work). Permit waits
- * do not consume the watchdog budget: the attempt deadline is re-armed
- * after acquisition (sweep_engine.cpp).
- */
-class ConcurrencyGate
-{
-  public:
-    /** @param permits concurrent simulations allowed (min 1). */
-    explicit ConcurrencyGate(unsigned permits)
-        : permits_(permits == 0 ? 1 : permits)
-    {
-    }
-
-    void
-    acquire()
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] { return in_use_ < permits_; });
-        ++in_use_;
-        if (in_use_ > peak_)
-            peak_ = in_use_;
-    }
-
-    void
-    release()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            --in_use_;
-        }
-        cv_.notify_one();
-    }
-
-    unsigned permits() const { return permits_; }
-
-    /** High-water mark of simultaneous holders (test/stats probe). */
-    unsigned
-    peak() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return peak_;
-    }
-
-  private:
-    unsigned permits_;
-    mutable std::mutex mu_;
-    std::condition_variable cv_;
-    unsigned in_use_ = 0;
-    unsigned peak_ = 0;
-};
-
-/**
  * Fault-tolerance knobs of one sweep (docs/ARCHITECTURE.md
  * "Reliability"). Default-constructed config reproduces the classic
  * engine: no watchdog, exceptions rethrown.
@@ -291,10 +233,6 @@ struct SweepConfig
      *  the store first and fills it on a miss. Not owned; nullptr (the
      *  default) simulates every job. */
     ResultStore *store = nullptr;
-
-    /** Shared simulation-concurrency bound (the serve daemon's pool
-     *  governor). Not owned; nullptr (the default) runs ungated. */
-    ConcurrencyGate *gate = nullptr;
 };
 
 /**

@@ -102,15 +102,15 @@ struct ImportResult
 };
 
 /**
- * The on-disk store behind `--cache-dir` and the serve daemon. Safe for
- * concurrent use by any number of threads; multiple processes may share
- * a directory (atomic rename keeps entries torn-proof; cross-process
- * duplicate fills are benign last-writer-wins races on identical bytes).
+ * The on-disk store behind `--cache-dir`. Safe for concurrent use by
+ * any number of threads; multiple processes may share a directory
+ * (atomic rename keeps entries torn-proof; cross-process duplicate fills
+ * are benign last-writer-wins races on identical bytes).
  *
  * In-process, get_or_run() single-flights each key: one thread
  * simulates while the rest wait and then read the freshly stored entry,
  * so N concurrent requests for one uncached configuration cost one
- * simulation (tests/test_serve_concurrency.cpp).
+ * simulation (ResultCacheConcurrency in tests/test_result_cache.cpp).
  */
 class ResultCache : public ResultStore
 {

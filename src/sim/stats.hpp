@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <vector>
 
 namespace morpheus {
 
@@ -46,50 +45,6 @@ class Accumulator
     double sum_ = 0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * A fixed-bucket histogram for distribution-shaped stats (e.g. extended
- * LLC service times). Buckets are linear in [lo, hi); out-of-range samples
- * land in the first/last bucket.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t buckets)
-        : lo_(lo), hi_(hi), counts_(buckets, 0)
-    {
-    }
-
-    /** Adds one sample. */
-    void
-    add(double v)
-    {
-        const double span = hi_ - lo_;
-        std::size_t idx = 0;
-        if (v >= hi_) {
-            idx = counts_.size() - 1;
-        } else if (v > lo_) {
-            idx = static_cast<std::size_t>((v - lo_) / span *
-                                           static_cast<double>(counts_.size()));
-            idx = std::min(idx, counts_.size() - 1);
-        }
-        ++counts_[idx];
-        ++total_;
-    }
-
-    std::uint64_t total() const { return total_; }
-    const std::vector<std::uint64_t> &buckets() const { return counts_; }
-    double bucket_lo(std::size_t i) const
-    {
-        return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-    }
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
 };
 
 /**

@@ -325,6 +325,18 @@ TEST(RunReportParser, DeeplyNestedInputIsRejectedNotOverflowed)
         objs += "]}";
     objs += ", \"entries\": []}";
     EXPECT_FALSE(RunReport::parse_json(objs, out, error));
+
+    // 256 levels as the whole document, not tucked under a key.
+    const std::string arrays = std::string(256, '[') + std::string(256, ']');
+    std::string bare_objs;
+    for (int i = 0; i < 256; ++i)
+        bare_objs += "{\"a\":";
+    bare_objs += "1" + std::string(256, '}');
+    for (const std::string &bare : {arrays, bare_objs}) {
+        error.clear();
+        EXPECT_FALSE(RunReport::parse_json(bare, out, error));
+        EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+    }
 }
 
 TEST(RunReportParser, FuzzedMutationsNeverCrash)
@@ -357,5 +369,67 @@ TEST(RunReportParser, FuzzedMutationsNeverCrash)
         std::string error;
         if (RunReport::parse_json(text, out, error))
             (void)out.to_json();
+    }
+}
+
+TEST(RunReportParser, NestingCapIsExactlySixtyFourLevels)
+{
+    // morpheus_bench_diff loads BENCH files through this parser; its
+    // 64-level cap is what keeps a hostile file off the stack. The root
+    // object is level 1, so 63 arrays under a key reach the cap exactly.
+    auto nested = [](int levels) {
+        std::string text = "{\"schema_version\": 2, \"scenario\": \"x\", \"deep\": ";
+        text += std::string(static_cast<std::size_t>(levels), '[');
+        text += std::string(static_cast<std::size_t>(levels), ']');
+        return text + ", \"entries\": []}";
+    };
+    RunReport out;
+    std::string error;
+    EXPECT_TRUE(RunReport::parse_json(nested(63), out, error)) << error;
+    EXPECT_FALSE(RunReport::parse_json(nested(64), out, error));
+    EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+}
+
+TEST(RunReportParser, TruncatedReportsAreRejected)
+{
+    // A torn write: every prefix that stops before the closing brace is
+    // malformed and must say so; the prefixes that only drop trailing
+    // whitespace are still the whole report.
+    const std::string text = sample_report().to_json();
+    const std::size_t complete = text.find_last_of('}') + 1;
+    for (std::size_t len = 0; len < text.size(); ++len) {
+        RunReport out;
+        std::string error;
+        const bool ok = RunReport::parse_json(text.substr(0, len), out, error);
+        EXPECT_EQ(ok, len >= complete) << "prefix length " << len;
+        if (!ok) {
+            EXPECT_FALSE(error.empty()) << "prefix length " << len;
+        }
+    }
+}
+
+TEST(RunReportParser, SeededSmallMutationsEndInAVerdict)
+{
+    // 1-4 byte edits (overwrite a byte, or cut the tail): every mutant is
+    // either accepted and re-serializable or rejected with an error.
+    const std::string seed_text = sample_report().to_json();
+    Rng rng(0x9e3779b97f4a7c15ULL);
+    for (int round = 0; round < 2000; ++round) {
+        std::string text = seed_text;
+        const int edits = 1 + static_cast<int>(rng.next_below(4));
+        for (int e = 0; e < edits; ++e) {
+            const std::size_t pos = static_cast<std::size_t>(rng.next_below(text.size()));
+            if (rng.next_below(8) == 0)
+                text.resize(pos + 1);
+            else
+                text[pos] = static_cast<char>(rng.next_below(256));
+        }
+        RunReport out;
+        std::string error;
+        if (RunReport::parse_json(text, out, error)) {
+            EXPECT_FALSE(out.to_json().empty());
+        } else {
+            EXPECT_FALSE(error.empty()) << "round " << round;
+        }
     }
 }

@@ -2,16 +2,22 @@
  * @file
  * The content-addressed result cache (serve/result_cache.hpp,
  * docs/CACHE_FORMAT.md): key stability and sensitivity, bit-exact
- * round-trips, sweep integration across worker counts, and crash
- * safety — a writer killed mid-sweep leaves only valid-or-absent
- * entries, and a restart refills the gap with identical results.
+ * round-trips, in-process single-flight (N concurrent requests for one
+ * uncached configuration cost one simulation; the CI TSan job runs this
+ * binary), sweep integration across worker counts, and crash safety — a
+ * writer killed mid-sweep leaves only valid-or-absent entries, and a
+ * restart refills the gap with identical results.
  */
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/report.hpp"
@@ -237,6 +243,108 @@ TEST(ResultCache, UnopenableDirectoryDegradesGracefully)
     EXPECT_FALSE(hit);
     EXPECT_GT(r.cycles, 0u);
     std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent get_or_run
+
+TEST(ResultCacheConcurrency, SingleFlightRunsOneSimulationForNThreads)
+{
+    TempCacheDir dir("singleflight");
+    ResultCache cache(dir.path());
+    ASSERT_TRUE(cache.ok()) << cache.error();
+
+    SystemSetup setup;
+    setup.compute_sms = 6;
+    const WorkloadParams params = tiny_app("flight");
+
+    // The runner sleeps past the thread-start window, so every thread is
+    // in get_or_run() before the first fill completes — the worst case
+    // for duplicate simulation.
+    std::atomic<int> simulations{0};
+    const auto simulate = [&] {
+        simulations.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        return run_setup(setup, params);
+    };
+
+    constexpr int kThreads = 8;
+    std::vector<RunResult> results(kThreads);
+    // One byte per thread: std::vector<bool> packs the flags into shared
+    // words, and concurrent writes to them race.
+    std::vector<char> hits(kThreads, 0);
+    {
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                bool hit = false;
+                results[t] = cache.get_or_run(setup, params, simulate, &hit);
+                hits[t] = hit;
+            });
+        }
+        for (auto &th : threads)
+            th.join();
+    }
+
+    EXPECT_EQ(simulations.load(), 1);
+    EXPECT_EQ(cache.stats().misses.load(), 1u);
+    EXPECT_EQ(cache.stats().hits.load(), static_cast<std::uint64_t>(kThreads - 1));
+    int hit_count = 0;
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_TRUE(run_results_identical(results[t], results[0])) << "thread " << t;
+        hit_count += hits[t] ? 1 : 0;
+    }
+    EXPECT_EQ(hit_count, kThreads - 1);
+}
+
+TEST(ResultCacheConcurrency, DistinctKeysRunConcurrentlyWithoutCrossTalk)
+{
+    TempCacheDir dir("distinct");
+    ResultCache cache(dir.path());
+    ASSERT_TRUE(cache.ok()) << cache.error();
+
+    // Several threads per key, all in flight together: each distinct
+    // configuration simulates exactly once, and no key's slot blocks or
+    // answers for another's.
+    constexpr int kConfigs = 4, kThreadsPerKey = 4, kThreads = kConfigs * kThreadsPerKey;
+    const auto config = [](int c, SystemSetup &setup, WorkloadParams &p) {
+        setup = SystemSetup{};
+        setup.compute_sms = 4 + 2 * static_cast<std::uint32_t>(c);
+        p = tiny_app(("d" + std::to_string(c)).c_str());
+    };
+    std::array<std::atomic<int>, kConfigs> simulations{};
+    std::vector<RunResult> results(kThreads);
+    {
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                const int c = t % kConfigs;
+                SystemSetup setup;
+                WorkloadParams p;
+                config(c, setup, p);
+                results[t] = cache.get_or_run(setup, p, [&] {
+                    simulations[c].fetch_add(1);
+                    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+                    return run_setup(setup, p);
+                });
+            });
+        }
+        for (auto &th : threads)
+            th.join();
+    }
+
+    for (int c = 0; c < kConfigs; ++c)
+        EXPECT_EQ(simulations[c].load(), 1) << "config " << c;
+    EXPECT_EQ(cache.stats().misses.load(), static_cast<std::uint64_t>(kConfigs));
+    EXPECT_EQ(cache.stats().hits.load(), static_cast<std::uint64_t>(kThreads - kConfigs));
+    for (int t = 0; t < kThreads; ++t) {
+        SystemSetup setup;
+        WorkloadParams p;
+        config(t % kConfigs, setup, p);
+        RunResult out;
+        ASSERT_TRUE(cache.lookup(result_cache_key(setup, p), out));
+        EXPECT_TRUE(run_results_identical(out, results[t])) << "thread " << t;
+    }
 }
 
 // ---------------------------------------------------------------------------

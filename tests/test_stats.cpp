@@ -35,21 +35,6 @@ TEST(Accumulator, ResetClears)
     EXPECT_DOUBLE_EQ(acc.min(), 7.0);
 }
 
-TEST(Histogram, BucketsSamples)
-{
-    Histogram h(0, 100, 10);
-    h.add(5);     // bucket 0
-    h.add(15);    // bucket 1
-    h.add(95);    // bucket 9
-    h.add(1000);  // clamps to last bucket
-    h.add(-5);    // clamps to first bucket
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_EQ(h.buckets()[0], 2u);
-    EXPECT_EQ(h.buckets()[1], 1u);
-    EXPECT_EQ(h.buckets()[9], 2u);
-    EXPECT_DOUBLE_EQ(h.bucket_lo(1), 10.0);
-}
-
 TEST(Format, SiSuffixes)
 {
     EXPECT_EQ(format_si(1500.0), "1.50K");

@@ -3,11 +3,12 @@
  * (docs/CACHE_FORMAT.md "Size accounting and garbage collection",
  * "Export/import").
  *
- * Operates directly on a cache directory, no daemon needed — the same
- * ResultCache code the daemon uses, so validation, gc pinning, and the
- * tmp-file liveness rules are identical. Safe to run against a live
- * daemon's directory: eviction is atomic unlink, import is temp+rename,
- * and a foreign process's in-progress writes are never touched.
+ * Operates directly on a cache directory with the same ResultCache code
+ * `--cache-dir` sweeps use, so validation, gc pinning, and the tmp-file
+ * liveness rules are identical. Safe to run against a directory that
+ * live sweeps are filling: eviction is atomic unlink, import is
+ * temp+rename, and a foreign process's in-progress writes are never
+ * touched.
  *
  *   morpheus_cache --cache-dir DIR --stats
  *       Prints `key=value` size accounting (shell-parseable; CI greps
