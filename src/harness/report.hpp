@@ -58,7 +58,7 @@ struct ReportEntry
 /**
  * The full result set of one scenario run. Produced by the SweepEngine
  * (every simulation job's RunResult becomes one entry) and by scenarios
- * that measure outside the engine (fig05 probes, micro_components).
+ * that measure outside the engine (fig05 probes).
  */
 class RunReport
 {
@@ -80,8 +80,9 @@ class RunReport
     double work_scale() const { return work_scale_; }
     void set_work_scale(double scale) { work_scale_ = scale; }
 
-    /** False for wall-clock measurements (micro_components): the diff
-     *  then checks structure (labels, metric names) but not values. */
+    /** False for a report of wall-clock measurements: the diff then
+     *  checks structure (labels, metric names) but not values. Every
+     *  registered scenario is deterministic. */
     bool deterministic() const { return deterministic_; }
     void set_deterministic(bool deterministic) { deterministic_ = deterministic; }
     ///@}

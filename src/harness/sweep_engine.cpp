@@ -7,17 +7,13 @@
 
 #include "harness/report.hpp"
 #include "harness/scenario.hpp"
+#include "sim/state_io.hpp"
 
 namespace morpheus {
 
 unsigned
 default_sweep_jobs()
 {
-    if (const char *env = std::getenv("MORPHEUS_JOBS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }
@@ -25,28 +21,14 @@ default_sweep_jobs()
 bool
 run_results_identical(const RunResult &a, const RunResult &b)
 {
-    return a.workload == b.workload && a.cycles == b.cycles &&
-           a.instructions == b.instructions && a.ipc == b.ipc && a.l1_hits == b.l1_hits &&
-           a.l1_misses == b.l1_misses && a.llc_accesses == b.llc_accesses &&
-           a.llc_hits == b.llc_hits && a.llc_misses == b.llc_misses &&
-           a.ext_requests == b.ext_requests && a.ext_predicted_hits == b.ext_predicted_hits &&
-           a.ext_predicted_misses == b.ext_predicted_misses && a.ext_hits == b.ext_hits &&
-           a.ext_misses == b.ext_misses && a.ext_false_positives == b.ext_false_positives &&
-           a.ext_capacity_bytes == b.ext_capacity_bytes &&
-           a.ext_hit_latency == b.ext_hit_latency && a.ext_miss_latency == b.ext_miss_latency &&
-           a.pred_miss_latency == b.pred_miss_latency &&
-           a.conv_hit_latency == b.conv_hit_latency &&
-           a.conv_miss_latency == b.conv_miss_latency && a.dram_reads == b.dram_reads &&
-           a.dram_writes == b.dram_writes && a.dram_utilization == b.dram_utilization &&
-           a.noc_injection_rate == b.noc_injection_rate &&
-           a.noc_avg_latency == b.noc_avg_latency && a.noc_bytes == b.noc_bytes &&
-           a.llc_throughput == b.llc_throughput && a.mpki == b.mpki &&
-           a.energy.instr_j == b.energy.instr_j && a.energy.l1_j == b.energy.l1_j &&
-           a.energy.llc_j == b.energy.llc_j && a.energy.dram_j == b.energy.dram_j &&
-           a.energy.noc_j == b.energy.noc_j && a.energy.rf_j == b.energy.rf_j &&
-           a.energy.smem_j == b.energy.smem_j && a.energy.static_j == b.energy.static_j &&
-           a.energy.controller_j == b.energy.controller_j && a.avg_watts == b.avg_watts &&
-           a.perf_per_watt == b.perf_per_watt;
+    // RunResult::state() lists every field once; comparing its bytes
+    // keeps this in step with the cache payload and compares doubles by
+    // bit pattern (so 0.0 and -0.0 differ, and NaN equals itself).
+    StateWriter wa, wb;
+    RunResult ca = a, cb = b;
+    wa.obj(ca);
+    wb.obj(cb);
+    return wa.bytes() == wb.bytes();
 }
 
 void

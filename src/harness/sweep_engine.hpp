@@ -22,8 +22,7 @@ struct ScenarioOptions;
 
 /**
  * Worker count used when a sweep does not pin one explicitly: the
- * MORPHEUS_JOBS environment variable if set, else the hardware thread
- * count (at least 1).
+ * hardware thread count (at least 1).
  */
 unsigned default_sweep_jobs();
 
@@ -177,7 +176,8 @@ struct SweepJob
     std::string label;
 };
 
-/** Field-by-field (bit-identical doubles) comparison of two results. */
+/** Byte comparison of two results' RunResult::state() archives: every
+ *  field, doubles compared bit for bit. */
 bool run_results_identical(const RunResult &a, const RunResult &b);
 
 /**

@@ -28,8 +28,6 @@ scenario_registry()
         {"fig13_hitmiss_prediction",
          "Figure 13: no/Bloom/perfect hit-miss prediction ablation",
          run_fig13_hitmiss_prediction},
-        {"micro_components", "microbenchmarks of the simulator's hot components",
-         run_micro_components},
         {"query_depth",
          "query-logic request-queue depth: occupancy histogram vs candidate sizes",
          run_query_depth},

@@ -9,8 +9,7 @@ namespace morpheus::scenarios {
  * The paper-reproduction experiments and example sweeps, one function per
  * figure/table. Every sweep shards its simulation runs through the
  * SweepEngine, so `--jobs N` parallelizes any of them with byte-identical
- * output (except micro_components, whose wall-clock timings are
- * inherently noisy and default to serial). The registry in registry.cpp
+ * output. The registry in registry.cpp
  * lists them explicitly (a static library would silently drop
  * self-registering translation units).
  */
@@ -22,7 +21,6 @@ int run_fig05_latency_timeline(const ScenarioOptions &opts);
 int run_fig11_extllc_characterization(const ScenarioOptions &opts);
 int run_fig12_performance(const ScenarioOptions &opts);
 int run_fig13_hitmiss_prediction(const ScenarioOptions &opts);
-int run_micro_components(const ScenarioOptions &opts);
 int run_query_depth(const ScenarioOptions &opts);
 int run_sec74_bandwidth_analysis(const ScenarioOptions &opts);
 int run_sec75_overheads(const ScenarioOptions &opts);

@@ -51,15 +51,6 @@ struct EntryHeader
 };
 static_assert(sizeof(EntryHeader) == 40, "entry header layout is on-disk format");
 
-/** Export container prefix (`.mrcx`); records follow back to back. */
-struct ExportHeader
-{
-    std::uint32_t magic;           ///< kResultCacheExportMagic
-    std::uint32_t format_version;  ///< kResultCacheVersion
-    std::uint64_t entry_count;
-};
-static_assert(sizeof(ExportHeader) == 16, "export header layout is on-disk format");
-
 std::string
 key_hex(std::uint64_t key)
 {
@@ -69,17 +60,14 @@ key_hex(std::uint64_t key)
 }
 
 /**
- * Full validation of one entry's bytes: every header field, the payload
- * digest, and the payload shape (must deserialize to exactly its end).
- * @param expected_key the key the caller addressed; kAnyKey accepts the
- * header's own key (import path — the header is still self-consistent).
- * @return true and set @p key_out / @p result_out on a valid entry.
+ * Full validation of one entry's bytes: every header field (the key must
+ * be @p key, the one the filename names), the payload digest, and the
+ * payload shape (must deserialize to exactly its end). This is the only
+ * parser of cache bytes. @return true and set @p result_out on a valid
+ * entry.
  */
-constexpr std::uint64_t kAnyKey = ~0ULL;
-
 bool
-validate_entry_bytes(std::string_view bytes, std::uint64_t expected_key,
-                     std::uint64_t &key_out, RunResult &result_out)
+validate_entry_bytes(std::string_view bytes, std::uint64_t key, RunResult &result_out)
 {
     if (bytes.size() < sizeof(EntryHeader))
         return false;
@@ -87,10 +75,8 @@ validate_entry_bytes(std::string_view bytes, std::uint64_t expected_key,
     std::memcpy(&h, bytes.data(), sizeof h);
     const std::string_view payload(bytes.data() + sizeof h, bytes.size() - sizeof h);
     if (h.magic != kResultCacheMagic || h.format_version != kResultCacheVersion ||
-        h.reserved != 0 || h.payload_size != payload.size() ||
+        h.key != key || h.reserved != 0 || h.payload_size != payload.size() ||
         h.payload_digest != fnv1a64(payload))
-        return false;
-    if (expected_key != kAnyKey && h.key != expected_key)
         return false;
     try {
         StateReader r(payload);
@@ -102,7 +88,6 @@ validate_entry_bytes(std::string_view bytes, std::uint64_t expected_key,
     } catch (const StateError &) {
         return false;
     }
-    key_out = h.key;
     return true;
 }
 
@@ -122,34 +107,15 @@ read_file(const std::string &path, std::string &bytes)
     return ok;
 }
 
-/** Marks @p path as freshly used: explicit atime-to-now (mtime kept), so
- *  the gc eviction order does not depend on the filesystem's atime mount
- *  options (relatime would otherwise coalesce reads). Best-effort. */
+/** Sets @p path's access time, the gc eviction order (mtime kept).
+ *  Lookup hits set it to now explicitly, so the order does not depend on
+ *  the filesystem's atime mount options (relatime would otherwise
+ *  coalesce reads). Best-effort. */
 void
-bump_atime(const std::string &path)
+set_atime(const std::string &path, timespec atime)
 {
-    timespec times[2];
-    times[0].tv_nsec = UTIME_NOW;
-    times[0].tv_sec = 0;
-    times[1].tv_nsec = UTIME_OMIT;
-    times[1].tv_sec = 0;
+    const timespec times[2] = {atime, {0, UTIME_OMIT}};
     ::utimensat(AT_FDCWD, path.c_str(), times, 0);
-}
-
-/** The pid embedded in a `<key>.mrce.tmp.<pid>.<seq>` name; 0 when the
- *  name does not parse (treated as stale). */
-unsigned long
-tmp_writer_pid(const std::string &filename)
-{
-    const std::size_t tag = filename.find(".mrce.tmp.");
-    if (tag == std::string::npos)
-        return 0;
-    const char *p = filename.c_str() + tag + 10;
-    char *end = nullptr;
-    const unsigned long pid = std::strtoul(p, &end, 10);
-    if (end == p || *end != '.')
-        return 0;
-    return pid;
 }
 
 bool
@@ -160,33 +126,61 @@ process_alive(unsigned long pid)
     return ::kill(static_cast<pid_t>(pid), 0) == 0 || errno == EPERM;
 }
 
-bool
-is_tmp_name(const std::string &filename)
-{
-    return filename.find(".mrce.tmp.") != std::string::npos;
-}
-
-bool
-is_entry_name(const std::string &filename, std::uint64_t &key)
-{
-    // <016x>.mrce, nothing more.
-    if (filename.size() != 21 || filename.compare(16, 5, ".mrce") != 0)
-        return false;
-    // `end` points into `hex`, which must outlive the check.
-    const std::string hex = filename.substr(0, 16);
-    char *end = nullptr;
-    key = std::strtoull(hex.c_str(), &end, 16);
-    return end && *end == '\0';
-}
-
-struct EntryInfo
+/** One file of a cache directory, as scan_dir() classifies it. */
+struct CacheFile
 {
     std::string path;
-    std::uint64_t key = 0;
+    bool tmp = false;       ///< `<016x>.mrce.tmp.<pid>.<seq>`; else a `<016x>.mrce` entry
+    std::uint64_t key = 0;  ///< entries: the key the filename names
+    unsigned long pid = 0;  ///< tmps: the writer's pid; 0 when unparsable (stale)
     std::uint64_t size = 0;
-    std::int64_t atime_sec = 0;
-    std::int64_t atime_nsec = 0;
+    timespec atime{};
 };
+
+/**
+ * The one directory scan, and the only code that parses cache file
+ * names: every entry and `.tmp.` file that could be stat()ed (files
+ * that vanish mid-scan are skipped; other names are ignored). @return
+ * false with @p error set when the directory cannot be read.
+ */
+bool
+scan_dir(const std::string &dir, std::vector<CacheFile> &files, std::string &error)
+{
+    std::error_code ec;
+    for (const auto &e : std::filesystem::directory_iterator(dir, ec)) {
+        const std::string name = e.path().filename().string();
+        CacheFile f;
+        f.path = e.path().string();
+        const std::size_t tag = name.find(".mrce.tmp.");
+        if (tag != std::string::npos) {
+            f.tmp = true;
+            const char *p = name.c_str() + tag + 10;
+            char *end = nullptr;
+            f.pid = std::strtoul(p, &end, 10);
+            if (end == p || *end != '.')
+                f.pid = 0;
+        } else {
+            // <016x>.mrce, nothing more: the name must be the one
+            // entry_path() gives its key.
+            if (name.size() != 21 || name.compare(16, 5, ".mrce") != 0)
+                continue;
+            f.key = std::strtoull(name.c_str(), nullptr, 16);
+            if (name.compare(0, 16, key_hex(f.key)) != 0)
+                continue;
+        }
+        struct stat st{};
+        if (::stat(f.path.c_str(), &st) != 0)
+            continue; // raced a concurrent removal
+        f.size = static_cast<std::uint64_t>(st.st_size);
+        f.atime = st.st_atim;
+        files.push_back(std::move(f));
+    }
+    if (ec) {
+        error = "cache scan failed: " + ec.message();
+        return false;
+    }
+    return true;
+}
 
 } // namespace
 
@@ -202,10 +196,12 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
     // *stale* ones (writer pid no longer alive): a shared directory may
     // have a live sibling process mid-write, and reaping its temp file
     // would turn that store into a spurious miss.
-    for (const auto &e : std::filesystem::directory_iterator(dir_, ec)) {
-        const std::string name = e.path().filename().string();
-        if (is_tmp_name(name) && !process_alive(tmp_writer_pid(name)))
-            std::filesystem::remove(e.path(), ec);
+    std::vector<CacheFile> files;
+    std::string scan_error; // an unreadable directory just sweeps nothing
+    scan_dir(dir_, files, scan_error);
+    for (const CacheFile &f : files) {
+        if (f.tmp && !process_alive(f.pid))
+            std::filesystem::remove(f.path, ec);
     }
     ok_ = true;
 }
@@ -217,30 +213,33 @@ ResultCache::entry_path(std::uint64_t key) const
 }
 
 bool
-ResultCache::lookup(std::uint64_t key, RunResult &out)
+ResultCache::load(std::uint64_t key, RunResult &out, bool &evicted)
 {
-    if (!ok_)
-        return false;
+    evicted = false;
     const std::string path = entry_path(key);
     std::string bytes;
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
+    errno = 0;
+    const bool read = read_file(path, bytes);
+    if (!read && errno == ENOENT)
         return false; // absent: a plain miss, nothing to evict
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        bytes.append(buf, n);
-    const bool read_ok = !std::ferror(f);
-    std::fclose(f);
 
     // Validate everything; ANY failure evicts and misses.
-    std::uint64_t stored_key = 0;
-    if (!read_ok || !validate_entry_bytes(bytes, key, stored_key, out)) {
+    if (!read || !validate_entry_bytes(bytes, key, out)) {
         std::remove(path.c_str());
         stats_.evictions.fetch_add(1, std::memory_order_relaxed);
+        evicted = true;
         return false;
     }
-    bump_atime(path); // hits refresh the gc eviction order
+    return true;
+}
+
+bool
+ResultCache::lookup(std::uint64_t key, RunResult &out)
+{
+    bool evicted;
+    if (!ok_ || !load(key, out, evicted))
+        return false;
+    set_atime(entry_path(key), {0, UTIME_NOW}); // hits refresh the gc order
     return true;
 }
 
@@ -364,21 +363,16 @@ CacheUsage
 ResultCache::usage() const
 {
     CacheUsage u;
-    std::error_code ec;
-    for (const auto &e : std::filesystem::directory_iterator(dir_, ec)) {
-        const std::string name = e.path().filename().string();
-        const std::uint64_t size = e.file_size(ec);
-        if (ec) {
-            ec.clear();
-            continue; // raced a concurrent eviction
-        }
-        std::uint64_t key;
-        if (is_tmp_name(name)) {
+    std::vector<CacheFile> files;
+    std::string error;
+    scan_dir(dir_, files, error); // a failed scan accounts what it saw
+    for (const CacheFile &f : files) {
+        if (f.tmp) {
             ++u.tmp_count;
-            u.tmp_bytes += size;
-        } else if (is_entry_name(name, key)) {
+            u.tmp_bytes += f.size;
+        } else {
             ++u.entry_count;
-            u.entry_bytes += size;
+            u.entry_bytes += f.size;
         }
     }
     return u;
@@ -400,70 +394,53 @@ ResultCache::gc(std::uint64_t max_bytes, GcResult &out, std::string &error)
         return false;
     }
 
-    std::vector<EntryInfo> entries;
+    std::vector<CacheFile> files;
+    if (!scan_dir(dir_, files, error))
+        return false;
+    std::vector<CacheFile> entries;
     std::uint64_t live_tmp_bytes = 0;
-    std::error_code ec;
-    for (const auto &e : std::filesystem::directory_iterator(dir_, ec)) {
-        const std::string name = e.path().filename().string();
-        const std::string path = e.path().string();
-        if (is_tmp_name(name)) {
-            struct stat st{};
-            if (::stat(path.c_str(), &st) != 0)
-                continue; // raced removal
-            const unsigned long pid = tmp_writer_pid(name);
-            bool active_ours;
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                active_ours = active_tmps_.count(path) != 0;
-            }
-            const bool ours = pid == static_cast<unsigned long>(::getpid());
-            // Reap when the writer is provably gone: a dead process, or
-            // our own pid with no write in progress. A live *foreign*
-            // writer keeps its temp (its bytes still count as kept).
-            if (active_ours || (!ours && process_alive(pid))) {
-                live_tmp_bytes += static_cast<std::uint64_t>(st.st_size);
-            } else {
-                ++out.reaped_tmp;
-                out.reaped_tmp_bytes += static_cast<std::uint64_t>(st.st_size);
-                std::filesystem::remove(e.path(), ec);
-            }
+    for (CacheFile &f : files) {
+        if (!f.tmp) {
+            entries.push_back(std::move(f));
             continue;
         }
-        EntryInfo info;
-        if (!is_entry_name(name, info.key))
-            continue;
-        struct stat st{};
-        if (::stat(path.c_str(), &st) != 0)
-            continue;
-        info.path = path;
-        info.size = static_cast<std::uint64_t>(st.st_size);
-        info.atime_sec = static_cast<std::int64_t>(st.st_atim.tv_sec);
-        info.atime_nsec = static_cast<std::int64_t>(st.st_atim.tv_nsec);
-        entries.push_back(std::move(info));
-    }
-    if (ec) {
-        error = "cache scan failed: " + ec.message();
-        return false;
+        bool active_ours;
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            active_ours = active_tmps_.count(f.path) != 0;
+        }
+        const bool ours = f.pid == static_cast<unsigned long>(::getpid());
+        // Reap when the writer is provably gone: a dead process, or our
+        // own pid with no write in progress. A live *foreign* writer
+        // keeps its temp (its bytes still count as kept).
+        if (active_ours || (!ours && process_alive(f.pid))) {
+            live_tmp_bytes += f.size;
+        } else {
+            ++out.reaped_tmp;
+            out.reaped_tmp_bytes += f.size;
+            std::error_code ec;
+            std::filesystem::remove(f.path, ec);
+        }
     }
 
     // Oldest access first; the key breaks timestamp ties so the eviction
     // order is deterministic even on coarse-clock filesystems.
-    std::sort(entries.begin(), entries.end(), [](const EntryInfo &a, const EntryInfo &b) {
-        if (a.atime_sec != b.atime_sec)
-            return a.atime_sec < b.atime_sec;
-        if (a.atime_nsec != b.atime_nsec)
-            return a.atime_nsec < b.atime_nsec;
+    std::sort(entries.begin(), entries.end(), [](const CacheFile &a, const CacheFile &b) {
+        if (a.atime.tv_sec != b.atime.tv_sec)
+            return a.atime.tv_sec < b.atime.tv_sec;
+        if (a.atime.tv_nsec != b.atime.tv_nsec)
+            return a.atime.tv_nsec < b.atime.tv_nsec;
         return a.key < b.key;
     });
 
     std::uint64_t total = live_tmp_bytes;
-    for (const EntryInfo &e : entries)
+    for (const CacheFile &e : entries)
         total += e.size;
 
     std::size_t i = 0;
     std::uint64_t pinned = 0;
     for (; i < entries.size() && total > max_bytes; ++i) {
-        const EntryInfo &e = entries[i];
+        const CacheFile &e = entries[i];
         if (!evictable(e.key)) {
             ++pinned; // in-flight fill: never evicted, stays kept
             continue;
@@ -485,153 +462,27 @@ ResultCache::gc(std::uint64_t max_bytes, GcResult &out, std::string &error)
 }
 
 bool
-ResultCache::export_entries(const std::string &path, std::uint64_t &count,
-                            std::string &error)
+ResultCache::verify(VerifyResult &out, std::string &error)
 {
-    count = 0;
+    out = VerifyResult{};
     if (!ok_) {
         error = error_;
         return false;
     }
-
-    // Collect keys first (sorted for a deterministic container), then
-    // re-read each entry through full validation.
-    std::vector<std::uint64_t> keys;
-    std::error_code ec;
-    for (const auto &e : std::filesystem::directory_iterator(dir_, ec)) {
-        std::uint64_t key;
-        if (is_entry_name(e.path().filename().string(), key))
-            keys.push_back(key);
-    }
-    if (ec) {
-        error = "cache scan failed: " + ec.message();
+    std::vector<CacheFile> files;
+    if (!scan_dir(dir_, files, error))
         return false;
-    }
-    std::sort(keys.begin(), keys.end());
-
-    std::string body;
-    for (std::uint64_t key : keys) {
-        std::string bytes;
-        if (!read_file(entry_path(key), bytes))
-            continue; // raced an eviction
-        std::uint64_t stored_key = 0;
-        RunResult scratch;
-        if (!validate_entry_bytes(bytes, key, stored_key, scratch)) {
-            std::remove(entry_path(key).c_str());
-            stats_.evictions.fetch_add(1, std::memory_order_relaxed);
+    for (const CacheFile &f : files) {
+        if (f.tmp)
             continue;
-        }
-        body += bytes;
-        ++count;
-    }
-
-    ExportHeader h;
-    h.magic = kResultCacheExportMagic;
-    h.format_version = kResultCacheVersion;
-    h.entry_count = count;
-
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        error = "cannot write " + tmp + ": " + std::strerror(errno);
-        return false;
-    }
-    const bool wrote = std::fwrite(&h, 1, sizeof h, f) == sizeof h &&
-                       std::fwrite(body.data(), 1, body.size(), f) == body.size();
-    const bool closed = std::fclose(f) == 0;
-    if (!wrote || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        error = "cannot write " + path;
-        return false;
-    }
-    return true;
-}
-
-bool
-ResultCache::import_entries(const std::string &path, ImportResult &out,
-                            std::string &error)
-{
-    out = ImportResult{};
-    if (!ok_) {
-        error = error_;
-        return false;
-    }
-    std::string bytes;
-    if (!read_file(path, bytes)) {
-        error = "cannot read " + path;
-        return false;
-    }
-    if (bytes.size() < sizeof(ExportHeader)) {
-        error = "not an export container (truncated header)";
-        return false;
-    }
-    ExportHeader h;
-    std::memcpy(&h, bytes.data(), sizeof h);
-    if (h.magic != kResultCacheExportMagic) {
-        error = "not an export container (bad magic)";
-        return false;
-    }
-    if (h.format_version != kResultCacheVersion) {
-        error = "export container format v" + std::to_string(h.format_version) +
-                " does not match this build's v" + std::to_string(kResultCacheVersion);
-        return false;
-    }
-
-    std::size_t off = sizeof(ExportHeader);
-    for (std::uint64_t i = 0; i < h.entry_count; ++i) {
-        if (bytes.size() - off < sizeof(EntryHeader)) {
-            error = "record " + std::to_string(i) + ": truncated header";
-            return false;
-        }
-        EntryHeader eh;
-        std::memcpy(&eh, bytes.data() + off, sizeof eh);
-        if (eh.payload_size > bytes.size() - off - sizeof eh) {
-            error = "record " + std::to_string(i) + ": payload overruns container";
-            return false;
-        }
-        const std::string_view record(bytes.data() + off,
-                                      sizeof eh + static_cast<std::size_t>(eh.payload_size));
-        std::uint64_t key = 0;
         RunResult scratch;
-        if (!validate_entry_bytes(record, kAnyKey, key, scratch)) {
-            error = "record " + std::to_string(i) + ": failed validation";
-            return false;
+        bool evicted;
+        if (load(f.key, scratch, evicted)) {
+            ++out.verified;
+            set_atime(f.path, f.atime); // undo what the read did (relatime)
         }
-        // Publish through the normal temp + rename protocol.
-        const std::string entry = entry_path(key);
-        const bool existed = std::filesystem::exists(entry);
-        const std::string tmp =
-            entry + ".tmp." + std::to_string(static_cast<unsigned long>(::getpid())) + "." +
-            std::to_string(tmp_seq_.fetch_add(1, std::memory_order_relaxed));
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            active_tmps_.insert(tmp);
-        }
-        std::FILE *f = std::fopen(tmp.c_str(), "wb");
-        const bool wrote = f && std::fwrite(record.data(), 1, record.size(), f) ==
-                                    record.size();
-        const bool closed = f && std::fclose(f) == 0;
-        const bool renamed =
-            wrote && closed && std::rename(tmp.c_str(), entry.c_str()) == 0;
-        if (!renamed)
-            std::remove(tmp.c_str());
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            active_tmps_.erase(tmp);
-        }
-        if (!renamed) {
-            error = "record " + std::to_string(i) + ": cannot write entry";
-            return false;
-        }
-        ++out.imported;
-        if (existed)
-            ++out.replaced;
-        off += record.size();
-    }
-    if (off != bytes.size()) {
-        error = "container has " + std::to_string(bytes.size() - off) +
-                " trailing bytes after the last record";
-        return false;
+        else if (evicted)
+            ++out.evicted;
     }
     return true;
 }

@@ -21,7 +21,9 @@
  * version, key, payload size + digest) and the payload shape; ANY
  * mismatch — torn write, bit rot, stale format, hand-crafted garbage —
  * evicts the entry and reports a miss, never a wrong result
- * (tests/test_result_cache_fuzz.cpp holds this line).
+ * (tests/test_result_cache_fuzz.cpp holds this line). The `.mrce` file
+ * is the only format: a cache moves by copying its `*.mrce` files,
+ * and verify() (or the first lookup) evicts whatever arrived torn.
  */
 
 #include <atomic>
@@ -47,11 +49,6 @@ inline constexpr std::uint32_t kResultCacheVersion = 2;
 
 /** Entry file magic: "MRCE" little-endian (Morpheus Result Cache Entry). */
 inline constexpr std::uint32_t kResultCacheMagic = 0x4543524DU;
-
-/** Export container magic: "MRCX" little-endian (`.mrcx`, a
- *  concatenation of raw entries behind a 16-byte header; see
- *  docs/CACHE_FORMAT.md "Export/import"). */
-inline constexpr std::uint32_t kResultCacheExportMagic = 0x5843524DU;
 
 /** Content key of one simulation configuration: FNV-1a 64 over the
  *  canonical bytes of (cache version, report schema version, setup,
@@ -94,11 +91,11 @@ struct GcResult
     std::uint64_t kept_bytes = 0;       ///< entry + live tmp bytes remaining
 };
 
-/** import_entries() tally. */
-struct ImportResult
+/** What one verify() pass found. */
+struct VerifyResult
 {
-    std::uint64_t imported = 0;   ///< records validated and written
-    std::uint64_t replaced = 0;   ///< of those, how many overwrote an entry
+    std::uint64_t verified = 0;  ///< valid entries
+    std::uint64_t evicted = 0;   ///< invalid entries deleted
 };
 
 /**
@@ -161,27 +158,20 @@ class ResultCache : public ResultStore
     bool gc(std::uint64_t max_bytes, GcResult &out, std::string &error);
 
     /**
-     * Writes every valid entry, sorted by key, into one `.mrcx`
-     * container file at @p path (docs/CACHE_FORMAT.md "Export/import").
-     * Invalid entries encountered are evicted and skipped, as lookup()
-     * would. @return false on I/O failure.
+     * Loads and fully validates every entry in place, evicting the
+     * invalid ones exactly as lookup() would, but leaves access times
+     * (the gc() order) alone and writes nothing. @return false only on
+     * a scan error.
      */
-    bool export_entries(const std::string &path, std::uint64_t &count,
-                        std::string &error);
-
-    /**
-     * Imports a container written by export_entries(): every record is
-     * fully re-validated (header fields, digest, payload shape) before
-     * being published via the normal temp + rename protocol — a
-     * corrupted container never installs a bad entry. The first invalid
-     * record aborts with @return false (records already imported stay,
-     * each individually valid).
-     */
-    bool import_entries(const std::string &path, ImportResult &out,
-                        std::string &error);
+    bool verify(VerifyResult &out, std::string &error);
 
   private:
     bool evictable(std::uint64_t key);
+
+    /** lookup() minus the hit bookkeeping: reads and validates the entry
+     *  for @p key; an unreadable or invalid one is evicted (and
+     *  @p evicted set). @return true on a valid entry. */
+    bool load(std::uint64_t key, RunResult &out, bool &evicted);
 
     std::string dir_;
     bool ok_ = false;

@@ -2,7 +2,7 @@
  * @file
  * Size accounting and garbage collection of the result cache
  * (serve/result_cache.hpp, docs/CACHE_FORMAT.md "Size accounting and
- * garbage collection", "Export/import"):
+ * garbage collection", "Moving a cache"):
  *
  *  - usage() matches an independent directory walk, byte for byte, and
  *    counts `.tmp.` leftovers — a budget that ignored them would not be
@@ -10,8 +10,12 @@
  *  - gc() evicts complete entries in access-time order down to the
  *    byte budget, reaps stale tmp files (dead writer), spares live ones,
  *    and never touches an entry whose key has a fill in flight;
- *  - export → wipe → import round-trips every entry byte-identically,
- *    and a corrupted container never installs anything.
+ *  - a cache moves by copying its `*.mrce` files: copies are
+ *    byte-identical hits in a fresh directory, and a copy with a flipped
+ *    byte or another key's filename is evicted (by verify() and by
+ *    lookup()) and never served;
+ *  - verify() writes nothing into the directory and leaves the gc
+ *    eviction order alone.
  */
 #include <gtest/gtest.h>
 
@@ -379,86 +383,182 @@ TEST(CacheGc, GcRacingConcurrentFillsLosesNoResults)
 }
 
 // ---------------------------------------------------------------------------
-// Export / import
+// Moving a cache: copy the `*.mrce` files, then verify
 
-TEST(CacheGc, ExportWipeImportRoundTripsByteIdentically)
+namespace {
+
+/** Copies every `*.mrce` file of @p from into @p to (created fresh). */
+void
+copy_entries(const std::string &from, const std::string &to)
 {
-    TempCacheDir dir("roundtrip");
-    ResultCache cache(dir.path());
+    std::filesystem::create_directories(to);
+    for (const auto &de : std::filesystem::directory_iterator(from)) {
+        if (de.path().extension() == ".mrce")
+            std::filesystem::copy_file(de.path(), to / de.path().filename());
+    }
+}
+
+/** A runner for get_or_run() that must not be reached: the copy hits. */
+RunResult
+must_not_simulate()
+{
+    ADD_FAILURE() << "copied entry missed and re-simulated";
+    return {};
+}
+
+} // namespace
+
+TEST(CacheGc, CopiedEntriesAreByteIdenticalHitsInAFreshDirectory)
+{
+    TempCacheDir src("copy_src"), dst("copy_dst");
+    ResultCache cache(src.path());
+    ASSERT_TRUE(cache.ok()) << cache.error();
+    const std::vector<std::uint64_t> keys = fill_cache(cache, 3);
+    copy_entries(src.path(), dst.path());
+
+    ResultCache copy(dst.path());
+    ASSERT_TRUE(copy.ok()) << copy.error();
+    VerifyResult verify;
+    std::string error;
+    ASSERT_TRUE(copy.verify(verify, error)) << error;
+    EXPECT_EQ(verify.verified, 3u);
+    EXPECT_EQ(verify.evicted, 0u);
+
+    for (int i = 0; i < 3; ++i) {
+        const std::uint64_t key = keys[static_cast<std::size_t>(i)];
+        EXPECT_EQ(read_file(copy.entry_path(key)), read_file(cache.entry_path(key)))
+            << "entry " << std::hex << key;
+        RunResult original, copied;
+        ASSERT_TRUE(cache.lookup(key, original));
+        ASSERT_TRUE(copy.lookup(key, copied));
+        EXPECT_TRUE(run_results_identical(original, copied));
+
+        SystemSetup setup;
+        setup.compute_sms = 4 + 2 * static_cast<std::uint32_t>(i);
+        bool hit = false;
+        copy.get_or_run(setup, tiny_app("gc"), must_not_simulate, &hit);
+        EXPECT_TRUE(hit);
+    }
+    EXPECT_EQ(copy.stats().evictions.load(), 0u);
+}
+
+TEST(CacheGc, CopiedEntryWithAFlippedByteIsNeverServed)
+{
+    TempCacheDir src("flip_src"), dst("flip_dst");
+    ResultCache cache(src.path());
+    ASSERT_TRUE(cache.ok()) << cache.error();
+    const std::vector<std::uint64_t> keys = fill_cache(cache, 3);
+    copy_entries(src.path(), dst.path());
+    ResultCache copy(dst.path());
+    ASSERT_TRUE(copy.ok()) << copy.error();
+    for (const std::uint64_t key : {keys[0], keys[1]}) {
+        std::string bytes = read_file(copy.entry_path(key));
+        bytes[bytes.size() - 5] ^= 0x40; // a payload byte
+        write_file(copy.entry_path(key), bytes);
+    }
+
+    // The intact copy is served; lookup() evicts a torn one and misses.
+    RunResult out;
+    ASSERT_TRUE(copy.lookup(keys[2], out));
+    EXPECT_TRUE(std::filesystem::exists(copy.entry_path(keys[1])));
+    EXPECT_FALSE(copy.lookup(keys[1], out));
+    EXPECT_FALSE(std::filesystem::exists(copy.entry_path(keys[1])));
+    EXPECT_EQ(copy.stats().evictions.load(), 1u);
+
+    VerifyResult verify;
+    std::string error;
+    ASSERT_TRUE(copy.verify(verify, error)) << error;
+    EXPECT_EQ(verify.verified, 1u); // keys[2]
+    EXPECT_EQ(verify.evicted, 1u);  // keys[0]
+    EXPECT_FALSE(std::filesystem::exists(copy.entry_path(keys[0])));
+
+    // The evicted key re-simulates to the original bytes.
+    SystemSetup setup;
+    setup.compute_sms = 6; // keys[1]
+    bool hit = true;
+    const RunResult fresh =
+        copy.get_or_run(setup, tiny_app("gc"), [&] { return run_setup(setup, tiny_app("gc")); },
+                        &hit);
+    EXPECT_FALSE(hit);
+    RunResult original;
+    ASSERT_TRUE(cache.lookup(keys[1], original));
+    EXPECT_TRUE(run_results_identical(fresh, original));
+    EXPECT_EQ(read_file(copy.entry_path(keys[1])), read_file(cache.entry_path(keys[1])));
+}
+
+TEST(CacheGc, CopiedEntryUnderAnotherKeysNameIsNeverServed)
+{
+    TempCacheDir src("rename_src"), dst("rename_dst");
+    ResultCache cache(src.path());
     ASSERT_TRUE(cache.ok()) << cache.error();
     const std::vector<std::uint64_t> keys = fill_cache(cache, 3);
 
-    std::map<std::uint64_t, std::string> original;
-    for (const std::uint64_t key : keys)
-        original[key] = read_file(cache.entry_path(key));
+    // Two valid entries copied under each other's names, one in place.
+    ResultCache copy(dst.path());
+    ASSERT_TRUE(copy.ok()) << copy.error();
+    std::filesystem::copy_file(cache.entry_path(keys[0]), copy.entry_path(keys[1]));
+    std::filesystem::copy_file(cache.entry_path(keys[1]), copy.entry_path(keys[0]));
+    std::filesystem::copy_file(cache.entry_path(keys[2]), copy.entry_path(keys[2]));
 
-    const std::string container = dir.path() + "/dump.mrcx";
-    std::uint64_t exported = 0;
+    RunResult out;
+    EXPECT_FALSE(copy.lookup(keys[1], out));
+    EXPECT_FALSE(std::filesystem::exists(copy.entry_path(keys[1])));
+
+    VerifyResult verify;
     std::string error;
-    ASSERT_TRUE(cache.export_entries(container, exported, error)) << error;
-    EXPECT_EQ(exported, 3u);
-
-    GcResult gc;
-    ASSERT_TRUE(cache.gc(0, gc, error)) << error;
-    EXPECT_EQ(gc.evicted_entries, 3u);
-
-    ImportResult imported;
-    ASSERT_TRUE(cache.import_entries(container, imported, error)) << error;
-    EXPECT_EQ(imported.imported, 3u);
-    EXPECT_EQ(imported.replaced, 0u);
-    for (const std::uint64_t key : keys) {
-        EXPECT_EQ(read_file(cache.entry_path(key)), original[key])
-            << "entry " << std::hex << key;
-        RunResult out;
-        EXPECT_TRUE(cache.lookup(key, out));
-    }
-
-    // Re-import over a full cache: same bytes, counted as replacements.
-    ASSERT_TRUE(cache.import_entries(container, imported, error)) << error;
-    EXPECT_EQ(imported.replaced, 3u);
+    ASSERT_TRUE(copy.verify(verify, error)) << error;
+    EXPECT_EQ(verify.verified, 1u);
+    EXPECT_EQ(verify.evicted, 1u);
+    EXPECT_FALSE(std::filesystem::exists(copy.entry_path(keys[0])));
+    EXPECT_FALSE(copy.lookup(keys[0], out));
+    EXPECT_EQ(copy.stats().evictions.load(), 2u);
+    EXPECT_TRUE(copy.lookup(keys[2], out));
 }
 
-TEST(CacheGc, CorruptedContainerImportsNothingInvalid)
+TEST(CacheGc, VerifyWritesNothingAndKeepsTheEvictionOrder)
 {
-    TempCacheDir dir("corrupt");
+    TempCacheDir dir("verify");
     ResultCache cache(dir.path());
     ASSERT_TRUE(cache.ok()) << cache.error();
-    fill_cache(cache, 2);
+    const std::vector<std::uint64_t> keys = fill_cache(cache, 3);
+    // Snapshot the bytes before pinning atimes: reads may move them.
+    std::map<std::string, std::string> before;
+    for (const auto &de : std::filesystem::directory_iterator(dir.path()))
+        before[de.path().filename().string()] = read_file(de.path().string());
 
-    const std::string container = dir.path() + "/dump.mrcx";
-    std::uint64_t exported = 0;
+    // Oldest access first: keys[2], keys[0], keys[1] — not the key or
+    // store order, so a verify that touched atimes would reorder it.
+    set_atime(cache.entry_path(keys[2]), 1000);
+    set_atime(cache.entry_path(keys[0]), 2000);
+    set_atime(cache.entry_path(keys[1]), 3000);
+    // A file created (and even removed again) in the directory moves
+    // its mtime off this pinned value.
+    timespec dir_times[2] = {{5000, 0}, {5000, 0}};
+    ASSERT_EQ(::utimensat(AT_FDCWD, dir.path().c_str(), dir_times, 0), 0);
+
+    VerifyResult verify;
     std::string error;
-    ASSERT_TRUE(cache.export_entries(container, exported, error)) << error;
-    const std::string good = read_file(container);
+    ASSERT_TRUE(cache.verify(verify, error)) << error;
+    EXPECT_EQ(verify.verified, 3u);
+    EXPECT_EQ(verify.evicted, 0u);
 
+    struct stat st{};
+    ASSERT_EQ(::stat(dir.path().c_str(), &st), 0);
+    EXPECT_EQ(st.st_mtim.tv_sec, 5000) << "verify created or removed a file";
+    EXPECT_EQ(atime_of(cache.entry_path(keys[2])), 1000);
+    EXPECT_EQ(atime_of(cache.entry_path(keys[0])), 2000);
+    EXPECT_EQ(atime_of(cache.entry_path(keys[1])), 3000);
+
+    // Budget = one entry: gc keeps the most recently used, keys[1].
     GcResult gc;
-    ASSERT_TRUE(cache.gc(0, gc, error)) << error;
-
-    // Bad magic: rejected outright, nothing installed.
-    std::string bad = good;
-    bad[0] = 'X';
-    write_file(container, bad);
-    ImportResult imported;
-    EXPECT_FALSE(cache.import_entries(container, imported, error));
-    EXPECT_EQ(cache.usage().entry_count, 0u);
-
-    // A flipped payload byte: the record's digest check aborts the
-    // import; whatever was installed before the bad record is valid.
-    bad = good;
-    bad[bad.size() - 5] ^= 0x40;
-    write_file(container, bad);
-    EXPECT_FALSE(cache.import_entries(container, imported, error));
-    ResultCache reader(dir.path());
-    for (const auto &de : std::filesystem::directory_iterator(dir.path())) {
-        const std::string name = de.path().filename().string();
-        if (name.size() == 21 && name.rfind(".mrce") == 16) {
-            const std::uint64_t key = std::stoull(name.substr(0, 16), nullptr, 16);
-            RunResult out;
-            EXPECT_TRUE(reader.lookup(key, out)) << name;
-        }
-    }
-
-    // Truncation mid-record: same story.
-    write_file(container, good.substr(0, good.size() / 2));
-    EXPECT_FALSE(cache.import_entries(container, imported, error));
+    const auto keep = static_cast<std::uint64_t>(
+        std::filesystem::file_size(cache.entry_path(keys[1])));
+    ASSERT_TRUE(cache.gc(keep, gc, error)) << error;
+    EXPECT_EQ(gc.evicted_entries, 2u);
+    std::map<std::string, std::string> after;
+    for (const auto &de : std::filesystem::directory_iterator(dir.path()))
+        after[de.path().filename().string()] = read_file(de.path().string());
+    const std::string kept = std::filesystem::path(cache.entry_path(keys[1])).filename();
+    ASSERT_EQ(after.size(), 1u);
+    EXPECT_EQ(after[kept], before[kept]);
 }

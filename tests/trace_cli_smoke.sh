@@ -1,5 +1,5 @@
 #!/bin/sh
-# CLI edge-case drill for the trace tool (registered as the
+# CLI edge-case drill for the trace and cache tools (registered as the
 # `trace_cli_smoke` ctest entry; $1 = directory with the built binaries,
 # $2 = the source tree, for the committed traces under bench/traces/).
 #
@@ -16,6 +16,9 @@
 #  - `morpheus_cli` rejects removed flags (`--run-threads`, the sweep
 #    journal's `--journal`/`--resume`, the checkpoint `--checkpoint`/
 #    `--restore`) instead of silently ignoring them.
+#  - `morpheus_cache` exits 2 and touches nothing on a `--max-bytes` that
+#    is not a whole decimal number (`500MB` is not 500 bytes) and
+#    on the removed `--export`/`--import`.
 set -eu
 
 BUILD="$1"
@@ -104,5 +107,28 @@ rejects --scenario fig01_sm_scaling --journal "$TMP/x.mjrn"
 rejects --scenario fig01_sm_scaling --resume
 rejects kmeans --checkpoint "$TMP/x.mchk"
 rejects --restore "$TMP/x.mchk"
+
+# --- morpheus_cache usage errors touch nothing -------------------------------
+"$BUILD/morpheus_cli" --scenario kmeans_capacity_sweep --jobs 1 \
+    --cache-dir "$TMP/cache" > /dev/null
+entries() { find "$TMP/cache" -name '*.mrce' | wc -l; }
+kept="$(entries)"
+test "$kept" -gt 0
+cache_usage_error() {
+    status=0
+    "$BUILD/morpheus_cache" --cache-dir "$TMP/cache" "$@" > /dev/null 2>&1 || status=$?
+    if [ "$status" -ne 2 ] || [ "$(entries)" -ne "$kept" ]; then
+        echo "morpheus_cache $* exited $status with $(entries) of $kept entries left" >&2
+        exit 1
+    fi
+}
+cache_usage_error --gc --max-bytes 500MB
+cache_usage_error --gc --max-bytes abc
+cache_usage_error --gc --max-bytes ''
+cache_usage_error --gc --max-bytes -1
+cache_usage_error --gc --max-bytes 18446744073709551616
+cache_usage_error --export "$TMP/dump"
+cache_usage_error --import "$TMP/dump"
+"$BUILD/morpheus_cache" --cache-dir "$TMP/cache" --verify > /dev/null
 
 echo "trace_cli_smoke: OK"

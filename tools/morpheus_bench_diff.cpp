@@ -22,8 +22,8 @@
  * Context (scenario name, schema version, MORPHEUS_WORK_SCALE,
  * deterministic flag) must match exactly — comparing a smoke-scale run
  * against a full-scale baseline is an error, not a pass. Reports marked
- * non-deterministic (micro_components wall-clock timings) compare
- * structurally: labels and metric names must match, values are ignored.
+ * non-deterministic (wall-clock timings) compare structurally: labels
+ * and metric names must match, values are ignored.
  */
 #include <cstdio>
 #include <cstdlib>

@@ -1,35 +1,30 @@
 /**
  * morpheus_cache — offline result-cache management
  * (docs/CACHE_FORMAT.md "Size accounting and garbage collection",
- * "Export/import").
+ * "Moving a cache").
  *
  * Operates directly on a cache directory with the same ResultCache code
  * `--cache-dir` sweeps use, so validation, gc pinning, and the tmp-file
  * liveness rules are identical. Safe to run against a directory that
- * live sweeps are filling: eviction is atomic unlink, import is
- * temp+rename, and a foreign process's in-progress writes are never
- * touched.
+ * live sweeps are filling: eviction is atomic unlink, and a foreign
+ * process's in-progress writes are never touched.
  *
  *   morpheus_cache --cache-dir DIR --stats
  *       Prints `key=value` size accounting (shell-parseable; CI greps
  *       these lines). `.tmp.` leftovers count toward total_bytes.
  *   morpheus_cache --cache-dir DIR --gc --max-bytes N
  *       Reaps stale tmp files, then evicts entries oldest-access-first
- *       until the directory holds at most N bytes. --max-bytes 0 wipes.
- *   morpheus_cache --cache-dir DIR --export FILE
- *       Writes every valid entry into one `.mrcx` container.
- *   morpheus_cache --cache-dir DIR --import FILE
- *       Installs every record of a container, re-validating each.
+ *       until the directory holds at most N bytes (a whole decimal
+ *       number; anything else is a usage error). --max-bytes 0 wipes.
  *   morpheus_cache --cache-dir DIR --verify
- *       Loads and fully validates every entry (invalid ones are
- *       evicted, as any reader would); exit 1 if any were.
+ *       Loads and fully validates every entry in place (invalid ones
+ *       are evicted, as any reader would; access times are left alone);
+ *       exit 1 if any were.
  */
 
-#include <unistd.h>
-
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -39,17 +34,25 @@ namespace {
 
 using morpheus::CacheUsage;
 using morpheus::GcResult;
-using morpheus::ImportResult;
 using morpheus::ResultCache;
+using morpheus::VerifyResult;
 
 int
 usage()
 {
     std::fprintf(stderr,
                  "usage: morpheus_cache --cache-dir DIR\n"
-                 "           (--stats | --gc --max-bytes N | --export FILE |\n"
-                 "            --import FILE | --verify)\n");
+                 "           (--stats | --gc --max-bytes N | --verify)\n");
     return 2;
+}
+
+/** A whole decimal byte count: digits only, no sign, suffix or overflow. */
+bool
+parse_bytes(const char *text, std::uint64_t &out)
+{
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, out);
+    return text != end && ec == std::errc() && ptr == end;
 }
 
 void
@@ -70,7 +73,7 @@ main(int argc, char **argv)
 {
     bool want_stats = false, want_gc = false, want_verify = false;
     bool have_max_bytes = false;
-    std::string cache_dir, export_path, import_path;
+    std::string cache_dir;
     std::uint64_t max_bytes = 0;
 
     for (int i = 1; i < argc; ++i) {
@@ -82,12 +85,9 @@ main(int argc, char **argv)
         } else if (std::strcmp(a, "--gc") == 0) {
             want_gc = true;
         } else if (std::strcmp(a, "--max-bytes") == 0 && i + 1 < argc) {
-            max_bytes = std::strtoull(argv[++i], nullptr, 10);
+            if (!parse_bytes(argv[++i], max_bytes))
+                return usage();
             have_max_bytes = true;
-        } else if (std::strcmp(a, "--export") == 0 && i + 1 < argc) {
-            export_path = argv[++i];
-        } else if (std::strcmp(a, "--import") == 0 && i + 1 < argc) {
-            import_path = argv[++i];
         } else if (std::strcmp(a, "--verify") == 0) {
             want_verify = true;
         } else {
@@ -95,9 +95,7 @@ main(int argc, char **argv)
         }
     }
     const int ops = static_cast<int>(want_stats) + static_cast<int>(want_gc) +
-                    static_cast<int>(want_verify) +
-                    static_cast<int>(!export_path.empty()) +
-                    static_cast<int>(!import_path.empty());
+                    static_cast<int>(want_verify);
     if (cache_dir.empty() || ops != 1 || (want_gc && !have_max_bytes))
         return usage();
 
@@ -132,42 +130,13 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(gc.kept_bytes));
         return 0;
     }
-    if (!export_path.empty()) {
-        std::uint64_t count = 0;
-        if (!cache.export_entries(export_path, count, error)) {
-            std::fprintf(stderr, "morpheus_cache: %s\n", error.c_str());
-            return 1;
-        }
-        std::printf("exported=%llu\n", static_cast<unsigned long long>(count));
-        return 0;
-    }
-    if (!import_path.empty()) {
-        ImportResult result;
-        if (!cache.import_entries(import_path, result, error)) {
-            std::fprintf(stderr, "morpheus_cache: %s\n", error.c_str());
-            return 1;
-        }
-        std::printf("imported=%llu\n",
-                    static_cast<unsigned long long>(result.imported));
-        std::printf("replaced=%llu\n",
-                    static_cast<unsigned long long>(result.replaced));
-        return 0;
-    }
 
-    // --verify: exporting loads and fully validates every entry, evicting
-    // the invalid ones exactly as a reader would; the container itself is
-    // a byproduct we discard.
-    const std::string scratch =
-        cache_dir + "/.verify." + std::to_string(::getpid()) + ".mrcx";
-    std::uint64_t count = 0;
-    const bool ok = cache.export_entries(scratch, count, error);
-    ::unlink(scratch.c_str());
-    if (!ok) {
+    VerifyResult verify;
+    if (!cache.verify(verify, error)) {
         std::fprintf(stderr, "morpheus_cache: %s\n", error.c_str());
         return 1;
     }
-    const std::uint64_t evicted = cache.stats().evictions.load();
-    std::printf("verified=%llu\n", static_cast<unsigned long long>(count));
-    std::printf("evicted=%llu\n", static_cast<unsigned long long>(evicted));
-    return evicted == 0 ? 0 : 1;
+    std::printf("verified=%llu\n", static_cast<unsigned long long>(verify.verified));
+    std::printf("evicted=%llu\n", static_cast<unsigned long long>(verify.evicted));
+    return verify.evicted == 0 ? 0 : 1;
 }
