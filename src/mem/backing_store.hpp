@@ -43,7 +43,6 @@ class BackingStore
     std::uint64_t next_version() { return ++version_clock_; }
 
     std::uint64_t writes() const { return writes_; }
-    std::size_t resident_lines() const { return versions_.size(); }
 
   private:
     std::unordered_map<LineAddr, std::uint64_t> versions_;

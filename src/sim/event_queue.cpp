@@ -26,10 +26,12 @@ EventQueue::enqueue(Cycle when, Node *n)
     n->when = when;
     n->seq = next_seq_++;
     n->next = nullptr;
-    if (when < now_ + kRingCycles)
+    if (when < now_ + kRingCycles) {
         append_bucket(n);
-    else
+    } else {
         spill_.push(n);
+        ++spilled_;
+    }
 }
 
 void
@@ -42,7 +44,7 @@ EventQueue::append_bucket(Node *n)
     } else {
         bk.head = n;
         occ_[b >> 6] |= 1ULL << (b & 63);
-        occ_summary_ |= 1ULL << (b >> 6);
+        occ_summary_[b >> 12] |= 1ULL << ((b >> 6) & 63);
     }
     bk.tail = n;
     ++ring_count_;
@@ -60,7 +62,7 @@ EventQueue::pop_bucket_front(Cycle t)
         bk.tail = nullptr;
         occ_[b >> 6] &= ~(1ULL << (b & 63));
         if (occ_[b >> 6] == 0)
-            occ_summary_ &= ~(1ULL << (b >> 6));
+            occ_summary_[b >> 12] &= ~(1ULL << ((b >> 6) & 63));
     }
     --ring_count_;
     return n;
@@ -80,20 +82,22 @@ EventQueue::next_ring_time() const
     if (word != 0)
         return now_ + (((w << 6) + static_cast<std::size_t>(std::countr_zero(word))) - b);
 
-    // Next occupied word strictly after w, then wrapping around.
-    std::size_t w2;
-    std::uint64_t sum = occ_summary_ & ~((2ULL << w) - 1);
-    if (sum != 0) {
-        w2 = static_cast<std::size_t>(std::countr_zero(sum));
-        word = occ_[w2];
-    } else {
-        sum = occ_summary_ & ((2ULL << w) - 1);
-        assert(sum != 0);
-        w2 = static_cast<std::size_t>(std::countr_zero(sum));
-        word = occ_[w2];
-        if (w2 == w) // wrapped into b's word: only bits below b qualify
-            word &= (1ULL << (b & 63)) - 1;
+    // Next occupied word strictly after w: first the rest of w's summary
+    // word, then the following summary words, wrapping around to w's own.
+    // Its words after w were just found empty, so the wrap lands at or
+    // before w.
+    const std::size_t s = w >> 6;
+    std::uint64_t sum = occ_summary_[s] & ~((2ULL << (w & 63)) - 1);
+    std::size_t s2 = s;
+    for (std::size_t i = 1; sum == 0 && i <= kSummaryWords; ++i) {
+        s2 = (s + i) & (kSummaryWords - 1);
+        sum = occ_summary_[s2];
     }
+    assert(sum != 0);
+    const std::size_t w2 = (s2 << 6) + static_cast<std::size_t>(std::countr_zero(sum));
+    word = occ_[w2];
+    if (w2 == w) // wrapped into b's word: only bits below b qualify
+        word &= (1ULL << (b & 63)) - 1;
     const std::size_t idx = (w2 << 6) + static_cast<std::size_t>(std::countr_zero(word));
     return now_ + ((idx - b) & kRingMask);
 }

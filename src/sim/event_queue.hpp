@@ -37,16 +37,19 @@ class SimulationCancelled : public std::runtime_error
  * run in FIFO order (a monotonically increasing sequence number breaks
  * ties), which keeps runs fully deterministic.
  *
- * Internally this is a bucketed *calendar queue* tuned for the
- * simulator's traffic, which is overwhelmingly short-horizon (L1/NoC/
- * issue-port continuations land within a few hundred cycles):
+ * Internally this is a bucketed *calendar queue* sized for the
+ * simulator's traffic. L1/NoC/issue-port continuations land within a few
+ * hundred cycles, but a saturated DRAM returns completions up to ~5,300
+ * cycles ahead, so the ring spans about three times that:
  *
  *  - Near-future events — `when < now + kRingCycles` — go into a
  *    power-of-two ring of per-cycle buckets. Each bucket is an intrusive
  *    FIFO list, so same-cycle events pop in schedule order, preserving
  *    the sequence-number tie-break exactly. Occupied buckets are tracked
- *    in a two-level bitmap, making "find the next event" a couple of
- *    countr_zero ops instead of a heap sift. Schedule and pop are O(1).
+ *    in a bitmap (one bit per bucket) plus a summary array (one bit per
+ *    bitmap word, 4096 buckets per summary word), making "find the next
+ *    event" a few countr_zero ops instead of a heap sift. Schedule and
+ *    pop are O(1).
  *  - Far-future events overflow to a spill heap ordered by (when, seq).
  *    Whenever the clock advances, spill events whose time has entered
  *    the ring window are drained into their buckets — in (when, seq)
@@ -65,10 +68,14 @@ class EventQueue
 {
   public:
     /**
-     * Width of the near-future ring window in cycles (power of two).
+     * Width of the near-future ring window in cycles: about three times
+     * the largest DRAM completion horizon measured on bandwidth-saturated
+     * BL runs (5,317 cycles).
      * Events at `now + kRingCycles` or later take the spill-heap path.
      */
-    static constexpr Cycle kRingCycles = 1024;
+    static constexpr Cycle kRingCycles = 16384;
+    static_assert((kRingCycles & (kRingCycles - 1)) == 0, "ring width must be a power of two");
+    static_assert(kRingCycles % 4096 == 0, "ring width must fill whole summary words");
 
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
@@ -130,6 +137,9 @@ class EventQueue
     /** Total number of events executed so far (for micro-benchmarks / tests). */
     std::uint64_t executed() const { return executed_; }
 
+    /** Number of events that were scheduled beyond the ring window into the spill heap. */
+    std::uint64_t spilled() const { return spilled_; }
+
     /** Poll period (in executed events) for the cancellation token. */
     static constexpr std::uint64_t kCancelCheckEvents = 4096;
 
@@ -162,6 +172,7 @@ class EventQueue
 
     static constexpr std::size_t kRingMask = static_cast<std::size_t>(kRingCycles) - 1;
     static constexpr std::size_t kOccWords = static_cast<std::size_t>(kRingCycles) / 64;
+    static constexpr std::size_t kSummaryWords = kOccWords / 64;
     static constexpr std::size_t kSlabNodes = 256;
 
     Node *
@@ -183,9 +194,9 @@ class EventQueue
     bool step_bounded(Cycle limit);
 
     std::array<Bucket, kRingCycles> ring_{};
-    /** Two-level occupancy bitmap over ring_: one bit per bucket, one summary bit per word. */
+    /** Occupancy bitmap over ring_: one bit per bucket, one summary bit per occ_ word. */
     std::array<std::uint64_t, kOccWords> occ_{};
-    std::uint64_t occ_summary_ = 0;
+    std::array<std::uint64_t, kSummaryWords> occ_summary_{};
     std::size_t ring_count_ = 0;
     std::priority_queue<Node *, std::vector<Node *>, SpillLater> spill_;
     std::vector<std::unique_ptr<Node[]>> slabs_;
@@ -193,6 +204,7 @@ class EventQueue
     Cycle now_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;
+    std::uint64_t spilled_ = 0;
 };
 
 } // namespace morpheus

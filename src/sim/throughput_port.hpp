@@ -24,8 +24,9 @@ class ThroughputPort
     ThroughputPort() = default;
 
     /**
-     * @param cycles_per_unit Service occupancy per unit (e.g. cycles per
-     *        byte for a link, cycles per access for a bank port), in
+     * @param units_per_cycle Service rate in units per cycle (e.g. bytes
+     *        per cycle for a link, accesses per cycle for a bank port).
+     *        set_rate stores its inverse, the occupancy per unit, in
      *        1/1024ths of a cycle for integer precision.
      */
     static ThroughputPort

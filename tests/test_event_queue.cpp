@@ -242,6 +242,95 @@ TEST(EventQueueSpill, RepeatedWindowJumpsDrainEverything)
     EXPECT_TRUE(eq.empty());
 }
 
+TEST(EventQueueSpill, SpilledCountsOnlyEventsPastTheRingWindow)
+{
+    EventQueue eq;
+    eq.schedule(EventQueue::kRingCycles - 1, [] {});
+    EXPECT_EQ(eq.spilled(), 0u);
+    eq.schedule(EventQueue::kRingCycles, [] {});
+    EXPECT_EQ(eq.spilled(), 1u);
+    eq.run();
+    EXPECT_EQ(eq.executed(), 2u);
+    EXPECT_EQ(eq.spilled(), 1u); // refilling into the ring does not count
+}
+
+// ---------------------------------------------------------------------------
+// Ring search: the next occupied bucket is found across bitmap words,
+// summary words and the ring's wrap, from any phase of `now`.
+
+namespace {
+
+constexpr Cycle kRing = EventQueue::kRingCycles;
+
+/** Offsets from `now` that cross a bitmap word, a summary word and the ring's end. */
+constexpr std::array<Cycle, 7> kRingOffsets = {1, 63, 64, 4095, 4096, 4097, kRing - 1};
+
+/**
+ * Current-bucket phases: mid-word, in the last bitmap word of a summary
+ * word, in a non-first summary word, and in the ring's last word.
+ */
+constexpr std::array<Cycle, 4> kBucketPhases = {100, 63 * 64 + 20, 2 * 4096 + 5 * 64 + 30,
+                                                kRing - 10};
+
+/** Advances a fresh queue's clock to @p t by running one event there. */
+void
+advance_to(EventQueue &eq, Cycle t)
+{
+    eq.schedule(t, [] {});
+    ASSERT_TRUE(eq.step());
+    ASSERT_EQ(eq.now(), t);
+    ASSERT_TRUE(eq.empty());
+}
+
+} // namespace
+
+TEST(EventQueueRing, StepLandsOnEachOffsetFromEachPhase)
+{
+    for (Cycle phase : kBucketPhases) {
+        for (Cycle offset : kRingOffsets) {
+            EventQueue eq;
+            const Cycle start = 3 * kRing + phase;
+            advance_to(eq, start);
+            bool ran = false;
+            eq.schedule(start + offset, [&ran] { ran = true; });
+            ASSERT_TRUE(eq.step()) << "phase " << phase << " offset " << offset;
+            EXPECT_TRUE(ran);
+            EXPECT_EQ(eq.now(), start + offset) << "phase " << phase << " offset " << offset;
+            EXPECT_TRUE(eq.empty());
+        }
+    }
+}
+
+TEST(EventQueueRing, NextEventBelowTheCurrentBucketInItsOwnWord)
+{
+    // Mid-word phase: bucket bit 36 of its word. Offsets kRing - k wrap the
+    // ring back into the same word at bits 36 - k.
+    const Cycle start = 5 * kRing + 100;
+    for (Cycle k : {Cycle{1}, Cycle{17}, Cycle{36}}) {
+        EventQueue eq;
+        advance_to(eq, start);
+        eq.schedule(start + kRing - k, [] {});
+        ASSERT_TRUE(eq.step()) << "k " << k;
+        EXPECT_EQ(eq.now(), start + kRing - k) << "k " << k;
+    }
+}
+
+TEST(EventQueueRing, NearerSummaryWordWinsOverTheWrappedOwnWord)
+{
+    EventQueue eq;
+    const Cycle start = 2 * kRing + 100;
+    advance_to(eq, start);
+    std::vector<Cycle> times;
+    const auto record = [&times, &eq] { times.push_back(eq.now()); };
+    // Scheduled far-first so bucket order, not schedule order, decides.
+    eq.schedule(start + kRing - 1, record); // own word, below the current bucket
+    eq.schedule(start + 3 * 4096, record);  // a later summary word
+    eq.schedule(start + 5000, record);      // the next summary word
+    eq.run();
+    EXPECT_EQ(times, (std::vector<Cycle>{start + 5000, start + 3 * 4096, start + kRing - 1}));
+    EXPECT_EQ(eq.spilled(), 1u); // only advance_to's event was past the window
+}
+
 // ---------------------------------------------------------------------------
 // Reentrancy: schedule() from inside a running callback.
 
