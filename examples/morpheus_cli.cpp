@@ -7,8 +7,7 @@
  *   morpheus_cli <app> [system] [compute_sms] [cache_sms]
  *   morpheus_cli --list
  *   morpheus_cli --scenario <name> [--jobs N] [--format text|csv|json]
- *                [--trace FILE] [--output FILE] [--fault-plan SPEC]
- *                [--timeout-ms N] [--retries N] [--cache-dir DIR]
+ *                [--trace FILE] [--output FILE] [--cache-dir DIR]
  *   morpheus_cli --all [--jobs N] [--format text|csv|json]
  *                [--output-dir DIR]
  *
@@ -26,11 +25,11 @@
  * per scenario into --output-dir (the regression-gate input for
  * morpheus_bench_diff). --trace points the trace_replay scenario at a
  * specific .mtrc file (docs/TRACE_FORMAT.md; default: bench/traces/).
- * The fault-tolerance flags (--fault-plan, --timeout-ms, --retries) are
- * described in docs/ARCHITECTURE.md "Reliability". --cache-dir DIR
- * memoizes completed runs in a content-addressed on-disk store so reruns
- * are served byte-identically from cache (docs/CACHE_FORMAT.md); a killed
- * sweep resumes by being rerun with the same --cache-dir.
+ * --cache-dir DIR memoizes completed runs in a content-addressed on-disk
+ * store so reruns are served byte-identically from cache
+ * (docs/CACHE_FORMAT.md) and reports its hits and simulations on stderr;
+ * a killed sweep resumes by being rerun with the same --cache-dir
+ * (docs/ARCHITECTURE.md "Reliability").
  *
  * Examples:
  *   morpheus_cli kmeans                 # kmeans on Morpheus-ALL
@@ -42,11 +41,12 @@
  *   morpheus_cli --all --output-dir reports/
  */
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "harness/runner.hpp"
@@ -151,17 +151,17 @@ suggest(const char *kind, const std::string &name, const std::vector<std::string
                      near.c_str());
 }
 
-/** Strict u32 parse for the positional SM-count arguments. */
+/** Strict u32 parse for the positional SM-count arguments: digits only,
+ *  no sign, space, or value past 2^32-1. */
 bool
 parse_u32(const char *arg, const char *what, std::uint32_t &out)
 {
-    char *end = nullptr;
-    const long v = std::strtol(arg, &end, 10);
-    if (end == arg || *end != '\0' || v < 0) {
+    const char *end = arg + std::strlen(arg);
+    const auto [ptr, ec] = std::from_chars(arg, end, out);
+    if (ec != std::errc() || ptr != end) {
         std::fprintf(stderr, "invalid %s '%s' (expected a non-negative integer)\n", what, arg);
         return false;
     }
-    out = static_cast<std::uint32_t>(v);
     return true;
 }
 
@@ -176,8 +176,7 @@ usage()
                  "LARGER] [compute_sms cache_sms]\n"
                  "       morpheus_cli --list\n"
                  "       morpheus_cli --scenario <name> [--jobs N] [--format text|csv|json]"
-                 " [--trace FILE] [--output FILE] [--fault-plan SPEC] [--timeout-ms N]"
-                 " [--retries N] [--cache-dir DIR]\n"
+                 " [--trace FILE] [--output FILE] [--cache-dir DIR]\n"
                  "       morpheus_cli --all [--jobs N] [--format text|csv|json]"
                  " [--output-dir DIR]\n"
                  "apps:");

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <cstdlib>
-#include <thread>
 
 #include "morpheus/address_separator.hpp"
 #include "morpheus/morpheus_controller.hpp"
@@ -100,12 +97,6 @@ GpuSystem::to_llc(Cycle when, const MemRequest &req, RespFn resp)
     });
 }
 
-RunResult
-GpuSystem::run()
-{
-    return run(RunControls{});
-}
-
 void
 GpuSystem::begin_run()
 {
@@ -115,42 +106,17 @@ GpuSystem::begin_run()
 }
 
 void
-GpuSystem::advance_to(Cycle stop, const std::atomic<bool> *cancel)
+GpuSystem::advance_to(Cycle stop)
 {
-    eq_.run_until(stop, cancel);
+    eq_.run_until(stop);
 }
 
 RunResult
-GpuSystem::run(const RunControls &rc)
+GpuSystem::run()
 {
     begin_run();
-    // The fault event is scheduled after every SM's initial issue event,
-    // so it shifts all later sequence numbers uniformly — relative event
-    // order (and thus determinism of the surviving work) is unaffected.
-    if (rc.fault != RunFault::kNone && rc.fault_cycle > 0)
-        eq_.schedule(rc.fault_cycle, [this, &rc] { trigger_fault(rc); });
-
-    advance_to(setup_.cfg.max_cycles, rc.cancel);
+    advance_to(setup_.cfg.max_cycles);
     return collect();
-}
-
-void
-GpuSystem::trigger_fault(const RunControls &rc)
-{
-    switch (rc.fault) {
-    case RunFault::kThrow:
-        throw InjectedFault("injected fault: throw in run");
-    case RunFault::kAbort:
-        std::abort();
-    case RunFault::kHang:
-        // Spin until the watchdog cancels us; without a token this would
-        // hang for real, which is exactly what the fault models.
-        while (!(rc.cancel != nullptr && rc.cancel->load(std::memory_order_relaxed)))
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        throw SimulationCancelled("injected hang cancelled");
-    case RunFault::kNone:
-        break;
-    }
 }
 
 RunResult

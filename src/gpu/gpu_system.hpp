@@ -1,10 +1,8 @@
 #ifndef MORPHEUS_GPU_GPU_SYSTEM_HPP_
 #define MORPHEUS_GPU_GPU_SYSTEM_HPP_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -25,38 +23,6 @@ namespace morpheus {
 
 class MorpheusController;
 class ExtendedLlc;
-
-/** In-run fault kinds injectable through RunControls (FaultPlan). */
-enum class RunFault : std::uint8_t
-{
-    kNone,
-    kThrow,  ///< throw InjectedFault out of the event loop
-    kHang,   ///< spin (polling the cancel token) — exercises the watchdog
-    kAbort,  ///< std::abort() — exercises SIGKILL-grade recovery paths
-};
-
-/** Thrown by an injected kThrow fault. */
-class InjectedFault : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
-
-/**
- * Optional controls for GpuSystem::run: cooperative cancellation
- * (watchdog timeouts) and deterministic in-run fault injection.
- * Default-constructed controls reproduce the plain run() byte for byte —
- * the cancel poll only adds atomic loads.
- */
-struct RunControls
-{
-    /** Cooperative cancellation token (see EventQueue::run_until). */
-    const std::atomic<bool> *cancel = nullptr;
-
-    /** Inject @p fault when the clock reaches this cycle (0 = never). */
-    Cycle fault_cycle = 0;
-    RunFault fault = RunFault::kNone;
-};
 
 /** Morpheus-specific knobs of a system configuration. */
 struct MorpheusOptions
@@ -186,9 +152,6 @@ class GpuSystem : public LlcRouter
     /** Runs the workload to completion and gathers all statistics. */
     RunResult run();
 
-    /** run() with cancellation/fault controls. */
-    RunResult run(const RunControls &rc);
-
     /**
      * @name Stepwise execution
      * begin_run() arms the workload and the SMs without running;
@@ -199,7 +162,7 @@ class GpuSystem : public LlcRouter
      */
     ///@{
     void begin_run();
-    void advance_to(Cycle stop, const std::atomic<bool> *cancel = nullptr);
+    void advance_to(Cycle stop);
     RunResult collect_results() { return collect(); }
     ///@}
 
@@ -226,7 +189,6 @@ class GpuSystem : public LlcRouter
 
   private:
     RunResult collect();
-    void trigger_fault(const RunControls &rc);
 
     SystemSetup setup_;
     Workload &workload_;

@@ -19,15 +19,6 @@ run_setup(const SystemSetup &setup, const WorkloadParams &params)
 }
 
 RunResult
-run_setup_controlled(const SystemSetup &setup, const WorkloadParams &params,
-                     const RunControls &rc)
-{
-    SyntheticWorkload workload(params);
-    GpuSystem system(setup, workload);
-    return system.run(rc);
-}
-
-RunResult
 run_system(SystemKind kind, const AppSpec &app)
 {
     return run_setup(make_system(kind, app), app.params);

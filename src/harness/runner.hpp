@@ -20,13 +20,6 @@ RunResult run_workload(const SystemSetup &setup, Workload &workload);
 /** Runs @p params on a freshly built @p setup and returns all metrics. */
 RunResult run_setup(const SystemSetup &setup, const WorkloadParams &params);
 
-/**
- * run_setup with RunControls (cancellation, fault injection). Default
- * controls are byte-identical to run_setup.
- */
-RunResult run_setup_controlled(const SystemSetup &setup, const WorkloadParams &params,
-                               const RunControls &rc);
-
 /** Runs @p app on system @p kind (Table 3 SM splits applied). */
 RunResult run_system(SystemKind kind, const AppSpec &app);
 

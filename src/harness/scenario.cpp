@@ -1,10 +1,10 @@
 #include "harness/scenario.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
@@ -75,6 +75,13 @@ run_scenario_with_report(const Scenario &s, ScenarioOptions opts, const std::str
         rc = kExitDegraded;
     }
 
+    // Which grid points were served from the cache: every miss is one
+    // get_or_run() that simulated.
+    if (cache)
+        std::fprintf(stderr, "cache %s: %llu hits, %llu simulated\n", opts.cache_dir.c_str(),
+                     static_cast<unsigned long long>(cache->stats().hits.load()),
+                     static_cast<unsigned long long>(cache->stats().misses.load()));
+
     if ((rc != 0 && rc != kExitDegraded) || output_path.empty())
         return rc;
 
@@ -143,13 +150,13 @@ namespace {
 bool
 parse_jobs_value(const char *arg, unsigned &out)
 {
-    char *end = nullptr;
-    const long v = std::strtol(arg, &end, 10);
-    if (end == arg || *end != '\0' || v < 0) {
+    // Digits only: no sign, space, or value that does not fit `unsigned`.
+    const char *end = arg + std::strlen(arg);
+    const auto [ptr, ec] = std::from_chars(arg, end, out);
+    if (ec != std::errc() || ptr != end) {
         std::fprintf(stderr, "invalid --jobs value '%s' (expected N >= 0; 0 = auto)\n", arg);
         return false;
     }
-    out = static_cast<unsigned>(v);
     return true;
 }
 
@@ -196,19 +203,6 @@ suggest_flag(const char *arg, const char *const *known, std::size_t n_known)
  * (after printing a usage line) on any invalid flag.
  */
 bool
-parse_u64_value(const char *arg, const char *flag, std::uint64_t &out)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(arg, &end, 10);
-    if (end == arg || *end != '\0') {
-        std::fprintf(stderr, "invalid %s value '%s' (expected an integer)\n", flag, arg);
-        return false;
-    }
-    out = v;
-    return true;
-}
-
-bool
 parse_scenario_flags(int argc, char **argv, const char *path_flag, ScenarioOptions &opts,
                      std::string &path)
 {
@@ -223,33 +217,16 @@ parse_scenario_flags(int argc, char **argv, const char *path_flag, ScenarioOptio
             }
         } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
             opts.trace_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--fault-plan") == 0 && i + 1 < argc) {
-            std::string error;
-            if (!parse_fault_plan(argv[++i], opts.fault, error)) {
-                std::fprintf(stderr, "%s\n", error.c_str());
-                return false;
-            }
-        } else if (std::strcmp(argv[i], "--timeout-ms") == 0 && i + 1 < argc) {
-            if (!parse_u64_value(argv[++i], "--timeout-ms", opts.timeout_ms))
-                return false;
-        } else if (std::strcmp(argv[i], "--retries") == 0 && i + 1 < argc) {
-            std::uint64_t v = 0;
-            if (!parse_u64_value(argv[++i], "--retries", v))
-                return false;
-            opts.retries = static_cast<unsigned>(v);
         } else if (std::strcmp(argv[i], "--cache-dir") == 0 && i + 1 < argc) {
             opts.cache_dir = argv[++i];
         } else if (std::strcmp(argv[i], path_flag) == 0 && i + 1 < argc) {
             path = argv[++i];
         } else {
-            const char *known[] = {"--jobs",       "--format",     "--trace",
-                                   "--fault-plan", "--timeout-ms", "--retries",
-                                   "--cache-dir",  path_flag};
+            const char *known[] = {"--jobs", "--format", "--trace", "--cache-dir", path_flag};
             suggest_flag(argv[i], known, sizeof(known) / sizeof(known[0]));
             std::fprintf(stderr,
                          "usage: %s [--jobs N] [--format text|csv|json] "
-                         "[--trace FILE] [--fault-plan SPEC] [--timeout-ms N] "
-                         "[--retries N] [--cache-dir DIR] [%s PATH]\n",
+                         "[--trace FILE] [--cache-dir DIR] [%s PATH]\n",
                          argv[0], path_flag);
             return false;
         }

@@ -1,12 +1,10 @@
 #ifndef MORPHEUS_HARNESS_SCENARIO_HPP_
 #define MORPHEUS_HARNESS_SCENARIO_HPP_
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "harness/fault_plan.hpp"
 #include "harness/table.hpp"
 
 namespace morpheus {
@@ -36,15 +34,6 @@ struct ScenarioOptions
      * $MORPHEUS_TRACE_DIR, ./bench/traces, or ../bench/traces.
      */
     std::string trace_path;
-
-    /** @name Fault tolerance (SweepEngine::configure)
-     * `--fault-plan SPEC`, `--timeout-ms N`, `--retries N`.
-     */
-    ///@{
-    FaultPlan fault;
-    std::uint64_t timeout_ms = 0;
-    unsigned retries = 1;
-    ///@}
 
     /** @name Result memoization (docs/CACHE_FORMAT.md)
      * `--cache-dir DIR` fills cache_dir; run_scenario_with_report then

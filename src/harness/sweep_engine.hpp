@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <exception>
 #include <functional>
 #include <optional>
@@ -12,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "harness/fault_plan.hpp"
 #include "harness/runner.hpp"
 
 namespace morpheus {
@@ -58,7 +56,7 @@ struct TaskOutcome
  * Exceptions thrown by tasks are captured per job; run_all() rethrows
  * them (lowest submission index first) after all workers join, so
  * failure behavior is deterministic too, while run_all_outcomes() hands
- * every captured error back for per-job handling (the fault-tolerant
+ * every captured error back for per-job handling (the tolerant
  * SweepEngine path).
  */
 template <typename R>
@@ -207,30 +205,22 @@ class ResultStore
 };
 
 /**
- * Fault-tolerance knobs of one sweep (docs/ARCHITECTURE.md
- * "Reliability"). Default-constructed config reproduces the classic
- * engine: no watchdog, exceptions rethrown.
+ * How one sweep treats failures and memoization. A default-constructed
+ * config simulates every job and rethrows the first failure.
  */
 struct SweepConfig
 {
-    /** Deterministic fault injection (tests, CI drills). */
-    FaultPlan fault;
-
-    /** Per-attempt wall-clock watchdog; 0 disables. A run past its
-     *  deadline is cancelled cooperatively (SimulationCancelled). */
-    std::uint64_t timeout_ms = 0;
-
-    /** Additional attempts after a failed one (so retries = 1 means up
-     *  to two attempts per job). */
+    /** Unread: perfbench/main.cpp still assigns it, and perfbench is
+     *  edited only together with the benchmark (ROADMAP item 4). */
     unsigned retries = 1;
 
-    /** Record a job that failed every attempt as a `failed` report entry
-     *  (default RunResult in its positional slot) instead of rethrowing
-     *  its exception out of run_all(). */
+    /** Record a job that threw as a `failed` report entry (default
+     *  RunResult in its positional slot) instead of rethrowing its
+     *  exception out of run_all(). */
     bool tolerant = false;
 
-    /** Content-addressed memoization (`--cache-dir`): each attempt asks
-     *  the store first and fills it on a miss. Not owned; nullptr (the
+    /** Content-addressed memoization (`--cache-dir`): each job asks the
+     *  store first and fills it on a miss. Not owned; nullptr (the
      *  default) simulates every job. */
     ResultStore *store = nullptr;
 };
@@ -242,11 +232,11 @@ struct SweepConfig
  * results come back in submission order, so a sweep's output is
  * deterministic and identical for any worker count.
  *
- * With a SweepConfig attached the engine is fault-tolerant: each job
- * gets a retry budget and a wall-clock watchdog, and (in tolerant mode)
- * a job that fails every attempt degrades to a `failed` report entry
- * instead of sinking the whole sweep. With a ResultStore attached, a
- * killed sweep resumes by being run again: finished jobs are hits.
+ * A job is simulated once: the simulator is deterministic, so a retry
+ * would fail the same way. In tolerant mode a job that throws degrades
+ * to a `failed` report entry instead of sinking the whole sweep. With a
+ * ResultStore attached, a killed sweep resumes by being run again:
+ * finished jobs are hits.
  */
 class SweepEngine
 {
@@ -264,14 +254,14 @@ class SweepEngine
      */
     void set_report(RunReport *report) { report_ = report; }
 
-    /** Replaces the fault-tolerance configuration. */
+    /** Replaces the failure/memoization configuration. */
     void set_config(SweepConfig config) { config_ = std::move(config); }
     const SweepConfig &config() const { return config_; }
 
     /** set_report + set_config from the shared scenario options: report
-     *  sink, fault plan, result store, watchdog, retry budget; scenario
-     *  sweeps run tolerant (a failed grid point degrades the report and
-     *  the exit code instead of aborting the figure). */
+     *  sink and result store; scenario sweeps run tolerant (a failed
+     *  grid point degrades the report and the exit code instead of
+     *  aborting the figure). */
     void configure(const ScenarioOptions &opts);
 
     /** Queues one job; returns its submission index. */

@@ -166,21 +166,4 @@ EventQueue::run_until(Cycle until)
     }
 }
 
-void
-EventQueue::run_until(Cycle until, const std::atomic<bool> *cancel)
-{
-    if (cancel == nullptr) {
-        run_until(until);
-        return;
-    }
-    std::uint64_t countdown = kCancelCheckEvents;
-    while (step_bounded(until)) {
-        if (--countdown == 0) {
-            countdown = kCancelCheckEvents;
-            if (cancel->load(std::memory_order_relaxed))
-                throw SimulationCancelled("simulation cancelled");
-        }
-    }
-}
-
 } // namespace morpheus

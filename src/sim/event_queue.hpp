@@ -2,12 +2,10 @@
 #define MORPHEUS_SIM_EVENT_QUEUE_HPP_
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <queue>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -15,18 +13,6 @@
 #include "sim/types.hpp"
 
 namespace morpheus {
-
-/**
- * Thrown out of EventQueue::run_until when a cancellation token fires
- * (watchdog timeout, injected hang teardown). The simulation is left
- * mid-flight and must be discarded; the harness catches this at the
- * sweep layer and records the grid point as timed out.
- */
-class SimulationCancelled : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
 
 /**
  * A discrete-event scheduler.
@@ -125,23 +111,11 @@ class EventQueue
     /** Runs events with timestamps <= @p until (time advances to at most @p until). */
     void run_until(Cycle until);
 
-    /**
-     * run_until with a cancellation token: @p cancel is polled every
-     * kCancelCheckEvents executed events, and when it reads true a
-     * SimulationCancelled is thrown. Event execution order is identical
-     * to the token-free overload — the poll only adds atomic loads — so
-     * determinism is unaffected. A null token is allowed and ignored.
-     */
-    void run_until(Cycle until, const std::atomic<bool> *cancel);
-
     /** Total number of events executed so far (for micro-benchmarks / tests). */
     std::uint64_t executed() const { return executed_; }
 
     /** Number of events that were scheduled beyond the ring window into the spill heap. */
     std::uint64_t spilled() const { return spilled_; }
-
-    /** Poll period (in executed events) for the cancellation token. */
-    static constexpr std::uint64_t kCancelCheckEvents = 4096;
 
   private:
     struct Node

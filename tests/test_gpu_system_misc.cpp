@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "gpu/gpu_system.hpp"
+#include "harness/runner.hpp"
 #include "morpheus/morpheus_controller.hpp"
+#include "sim/state_io.hpp"
 #include "workloads/synthetic_workload.hpp"
 
 using namespace morpheus;
@@ -17,6 +22,51 @@ tiny()
     p.warps_per_sm = 8;
     p.total_mem_instrs = 4'000;
     return p;
+}
+
+/** A run long enough to cross many advance_to() windows. */
+WorkloadParams
+small_app(const char *name)
+{
+    WorkloadParams p;
+    p.name = name;
+    p.pattern = PatternKind::kPrivateLoop;
+    p.alu_per_mem = 4;
+    p.shared_ws_bytes = 1 << 20;
+    p.per_warp_ws_bytes = 4 * 1024;
+    p.reuse_frac = 0.3;
+    p.hot_frac = 0.4;
+    p.warps_per_sm = 16;
+    p.write_frac = 0.2;
+    p.total_mem_instrs = 30'000;
+    return p;
+}
+
+SystemSetup
+baseline_setup()
+{
+    SystemSetup s;
+    s.compute_sms = 8;
+    return s;
+}
+
+SystemSetup
+morpheus_setup()
+{
+    SystemSetup s = baseline_setup();
+    s.morpheus.enabled = true;
+    s.morpheus.cache_sms = 4;
+    s.morpheus.prediction = PredictionMode::kBloom;
+    return s;
+}
+
+std::string
+result_bytes(const RunResult &r)
+{
+    StateWriter w;
+    RunResult copy = r;
+    copy.state(w);
+    return w.bytes();
 }
 
 } // namespace
@@ -94,4 +144,30 @@ TEST(GpuSystemMisc, MorpheusDisabledHasNoControllers)
     GpuSystem sys(setup, wl);
     EXPECT_EQ(sys.extended_llc(), nullptr);
     EXPECT_EQ(sys.controller(0), nullptr);
+}
+
+TEST(StepwiseRun, ChunkedRunMatchesUnchunked)
+{
+    // begin_run() + advance_to() in fixed windows + collect_results() must
+    // be bit-identical to one run(): perfbench's traced runs sample the
+    // event loop between windows and count a differing result as failed.
+    for (const SystemSetup &setup : {baseline_setup(), morpheus_setup()}) {
+        const WorkloadParams p = small_app("chunked");
+        const RunResult plain = run_setup(setup, p);
+
+        SyntheticWorkload workload(p);
+        GpuSystem sys(setup, workload);
+        sys.begin_run();
+        const Cycle target = setup.cfg.max_cycles;
+        std::size_t windows = 0;
+        for (Cycle boundary = 1'000;; boundary += 1'000) {
+            const Cycle stop = std::min(boundary, target);
+            sys.advance_to(stop);
+            ++windows;
+            if (sys.event_queue().empty() || stop == target)
+                break;
+        }
+        EXPECT_GT(windows, 1u);
+        EXPECT_EQ(result_bytes(sys.collect_results()), result_bytes(plain));
+    }
 }

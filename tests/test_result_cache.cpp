@@ -14,8 +14,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -79,14 +81,30 @@ golden_config(SystemSetup &setup, WorkloadParams &params)
     params = tiny_app("golden");
 }
 
-FaultPlan
-plan(const std::string &spec)
+/** Simulates every job except `j2`, where it dies: a writer killed
+ *  mid-sweep with the single-flight slot for j2 held. */
+class AbortAtJ2Store : public ResultStore
 {
-    FaultPlan p;
-    std::string error;
-    EXPECT_TRUE(parse_fault_plan(spec, p, error)) << error;
-    return p;
-}
+  public:
+    explicit AbortAtJ2Store(ResultCache &cache) : cache_(cache) {}
+
+    RunResult
+    get_or_run(const SystemSetup &setup, const WorkloadParams &params,
+               const std::function<RunResult()> &run, bool *hit) override
+    {
+        return cache_.get_or_run(
+            setup, params,
+            [&] {
+                if (params.name == "j2")
+                    std::abort();
+                return run();
+            },
+            hit);
+    }
+
+  private:
+    ResultCache &cache_;
+};
 
 } // namespace
 
@@ -209,8 +227,8 @@ TEST(ResultCache, FailedRunStoresNothing)
     WorkloadParams params;
     golden_config(setup, params);
     EXPECT_THROW(cache.get_or_run(
-                     setup, params, []() -> RunResult { throw InjectedFault("boom"); }),
-                 InjectedFault);
+                     setup, params, []() -> RunResult { throw std::runtime_error("boom"); }),
+                 std::runtime_error);
     EXPECT_EQ(cache.stats().stores.load(), 0u);
     RunResult out;
     EXPECT_FALSE(cache.lookup(result_cache_key(setup, params), out));
@@ -443,10 +461,10 @@ TEST(ResultCacheCrashDeathTest, KilledSweepLeavesOnlyValidEntries)
     EXPECT_DEATH(
         {
             ResultCache cache(cache_dir);
+            AbortAtJ2Store store(cache);
             SweepEngine engine(1);
             SweepConfig cfg;
-            cfg.store = &cache;
-            cfg.fault = plan("abort@run=2,times=99");
+            cfg.store = &store;
             engine.set_config(cfg);
             queue_jobs(engine);
             engine.run_all();

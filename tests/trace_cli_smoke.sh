@@ -13,9 +13,14 @@
 #    rather than aborting on an out-of-memory reserve.
 #  - every committed .mtrc re-encodes byte-identically (`verify`), which
 #    pins the one encoder and the one decoder against the committed bytes.
-#  - `morpheus_cli` rejects removed flags (`--run-threads`, the sweep
+#  - `morpheus_cli` exits 2 on removed flags (`--run-threads`, the sweep
 #    journal's `--journal`/`--resume`, the checkpoint `--checkpoint`/
-#    `--restore`) instead of silently ignoring them.
+#    `--restore`, and the three fault-drill flags of the deleted
+#    watchdog) instead of silently ignoring them, and on counts that
+#    do not fit their type (`--jobs 2^32+1`, an SM count past 2^32-1)
+#    instead of wrapping them.
+#  - a rerun of a `--cache-dir` sweep simulates nothing: its stderr
+#    accounting line says `0 simulated`.
 #  - `morpheus_cache` exits 2 and touches nothing on a `--max-bytes` that
 #    is not a whole decimal number (`500MB` is not 500 bytes) and
 #    on the removed `--export`/`--import`.
@@ -95,10 +100,12 @@ for f in "$SRC"/bench/traces/*.mtrc "$SRC"/bench/traces/corpus/*.mtrc; do
     "$BUILD/morpheus_trace" verify "$f" > /dev/null
 done
 
-# --- removed flags fail loudly ----------------------------------------------
+# --- removed flags and wrapped counts fail loudly ----------------------------
 rejects() {
-    if "$BUILD/morpheus_cli" "$@" > /dev/null 2>&1; then
-        echo "morpheus_cli accepted a removed flag: $*" >&2
+    status=0
+    "$BUILD/morpheus_cli" "$@" > /dev/null 2>&1 || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "morpheus_cli exited $status, not 2, on: $*" >&2
         exit 1
     fi
 }
@@ -107,10 +114,19 @@ rejects --scenario fig01_sm_scaling --journal "$TMP/x.mjrn"
 rejects --scenario fig01_sm_scaling --resume
 rejects kmeans --checkpoint "$TMP/x.mchk"
 rejects --restore "$TMP/x.mchk"
+rejects --scenario fig01_sm_scaling --fault-plan throw@run=0
+rejects --scenario fig01_sm_scaling --timeout-ms 1000
+rejects --scenario fig01_sm_scaling --retries 0
+rejects --scenario fig01_sm_scaling --jobs 4294967297
+rejects --scenario fig01_sm_scaling --jobs -1
+rejects lbm ALL 4294967322 42
 
 # --- morpheus_cache usage errors touch nothing -------------------------------
 "$BUILD/morpheus_cli" --scenario kmeans_capacity_sweep --jobs 1 \
     --cache-dir "$TMP/cache" > /dev/null
+"$BUILD/morpheus_cli" --scenario kmeans_capacity_sweep --jobs 1 \
+    --cache-dir "$TMP/cache" > /dev/null 2> "$TMP/rerun_err.txt"
+grep -q ', 0 simulated$' "$TMP/rerun_err.txt"
 entries() { find "$TMP/cache" -name '*.mrce' | wc -l; }
 kept="$(entries)"
 test "$kept" -gt 0
