@@ -5,7 +5,6 @@
 #include <optional>
 #include <vector>
 
-#include "cache/replacement.hpp"
 #include "sim/types.hpp"
 
 namespace morpheus {
@@ -13,14 +12,18 @@ namespace morpheus {
 /**
  * A functional set-associative cache tag/data model.
  *
- * Holds tags, valid/dirty bits, replacement state, and a per-line data
- * *version* instead of actual bytes: versions are the simulator's
+ * Holds tags, valid/dirty bits, LRU state, and a per-line data *version*
+ * instead of actual bytes: versions are the simulator's
  * functional-correctness currency (the DRAM backing store is the root of
  * truth, and property tests assert read-your-writes through the full
  * hierarchy). Timing is the owner's job: this class only answers hit/miss
  * and performs state transitions.
  *
- * Used for the per-SM L1 caches and the conventional LLC banks.
+ * Used for the per-SM L1 caches and the conventional LLC banks, all LRU
+ * with 1 to 16 ways. Storage is set-major, so a lookup touches one block
+ * of 2 + ways words per set: the packed 4-bit LRU rank word, the
+ * valid/dirty bitmask word, then the tags. Versions live in their own
+ * array, read only on a hit, a fill or an eviction.
  */
 class SetAssocCache
 {
@@ -42,14 +45,12 @@ class SetAssocCache
 
     /**
      * @param sets number of sets (power of two not required).
-     * @param ways associativity.
-     * @param repl replacement policy.
+     * @param ways associativity, 1 to 16 (else std::invalid_argument).
      * @param hashed_index when true, the set index is computed from a
      *        hashed line address (LLC-style interleaving); when false the
      *        low line-address bits are used (L1-style).
      */
-    SetAssocCache(std::uint32_t sets, std::uint32_t ways,
-                  ReplacementKind repl = ReplacementKind::kLru, bool hashed_index = false);
+    SetAssocCache(std::uint32_t sets, std::uint32_t ways, bool hashed_index = false);
 
     /** Capacity in bytes. */
     std::uint64_t capacity_bytes() const
@@ -94,10 +95,13 @@ class SetAssocCache
     void
     flush(Sink &&sink)
     {
-        for (std::size_t i = 0; i < tags_.size(); ++i) {
-            if (flags_[i] == (kValid | kDirty))
-                sink(tags_[i], versions_[i]);
-            flags_[i] = 0;
+        for (std::uint32_t set = 0; set < sets_; ++set) {
+            std::uint64_t *block = block_of(set);
+            for (std::uint32_t w = 0; w < ways_; ++w) {
+                if ((block[kBits] >> w) & (block[kBits] >> (kDirtyShift + w)) & 1)
+                    sink(block[kTags + w], versions_[base(set) + w]);
+            }
+            block[kBits] = 0;
         }
     }
 
@@ -111,26 +115,36 @@ class SetAssocCache
     ///@}
 
   private:
-    /** flags_ bits. */
-    static constexpr std::uint8_t kValid = 1;
-    static constexpr std::uint8_t kDirty = 2;
+    /** Word offsets within a set's block, and the dirty bits' shift
+     *  within its valid/dirty word (valid bits are the low ways bits). */
+    static constexpr std::size_t kRanks = 0;
+    static constexpr std::size_t kBits = 1;
+    static constexpr std::size_t kTags = 2;
+    static constexpr std::uint32_t kDirtyShift = 32;
 
-    /** Index of (@p set, way 0) in the per-line arrays. */
+    /** Index of (@p set, way 0) in versions_. */
     std::size_t base(std::uint32_t set) const { return static_cast<std::size_t>(set) * ways_; }
 
-    /** Finds the way holding @p line in @p set, or -1. */
-    int find_way(std::uint32_t set, LineAddr line) const;
+    std::uint64_t *block_of(std::uint32_t set) { return &blocks_[set * (kTags + ways_)]; }
+    const std::uint64_t *block_of(std::uint32_t set) const
+    {
+        return &blocks_[set * (kTags + ways_)];
+    }
+
+    /** Finds the way holding @p line in @p block, or -1. */
+    int find_way(const std::uint64_t *block, LineAddr line) const;
+
+    /** Makes @p way the MRU way of @p block. */
+    void touch(std::uint64_t *block, std::uint32_t way);
 
     std::uint32_t sets_;
     std::uint32_t ways_;
     bool hashed_index_;
-    // Per-line state as parallel arrays indexed set * ways + way, so a
-    // set scan reads only the tags (an invalidated line keeps its stale
-    // tag, so a match also checks the valid flag).
-    std::vector<LineAddr> tags_;
+    // One block of kTags + ways words per set (an invalidated line keeps
+    // its stale tag, so a match also checks the valid bit), and versions
+    // indexed set * ways + way.
+    std::vector<std::uint64_t> blocks_;
     std::vector<std::uint64_t> versions_;
-    std::vector<std::uint8_t> flags_;
-    std::vector<ReplacementState> repl_;
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

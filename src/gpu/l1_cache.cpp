@@ -20,7 +20,7 @@ sets_for(std::uint64_t bytes, std::uint32_t ways)
 L1Cache::L1Cache(std::uint32_t sm_index, FabricContext ctx, LlcRouter *router,
                  std::uint64_t bytes, std::uint32_t ways, Cycle latency, std::uint32_t mshrs)
     : sm_index_(sm_index), ctx_(ctx), router_(router), latency_(latency), ways_(ways),
-      cache_(sets_for(bytes, ways), ways, ReplacementKind::kLru, false), mshrs_(mshrs)
+      cache_(sets_for(bytes, ways), ways, false), mshrs_(mshrs)
 {
 }
 
@@ -28,7 +28,7 @@ void
 L1Cache::add_capacity(std::uint64_t extra_bytes)
 {
     const std::uint64_t new_bytes = cache_.capacity_bytes() + extra_bytes;
-    cache_ = SetAssocCache(sets_for(new_bytes, ways_), ways_, ReplacementKind::kLru, false);
+    cache_ = SetAssocCache(sets_for(new_bytes, ways_), ways_, false);
 }
 
 void

@@ -15,7 +15,7 @@ LlcPartition::LlcPartition(std::uint32_t index, FabricContext ctx, std::uint32_t
                            std::uint32_t ways, Cycle latency, std::uint32_t banks,
                            Cycle bank_occupancy)
     : index_(index), ctx_(ctx), latency_(latency), lookup_cycles_(latency),
-      cache_(sets, ways, ReplacementKind::kLru, true),
+      cache_(sets, ways, true),
       banks_(banks, 1.0 / static_cast<double>(bank_occupancy))
 {
 }

@@ -2,7 +2,8 @@
 #define MORPHEUS_MEM_BACKING_STORE_HPP_
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "sim/types.hpp"
 
@@ -17,26 +18,51 @@ namespace morpheus {
  * so any staleness bug anywhere in the hierarchy — including a false
  * negative in the Morpheus hit/miss predictor that would bypass a dirty
  * extended-LLC block — shows up as a version regression in tests.
+ *
+ * Every LLC fill reads this table and every writeback writes it, so it
+ * is one flat open-addressed array of 16-byte {line, version} slots
+ * (power-of-two size, mix64 hash, linear probing, doubled before it is
+ * more than 3/4 full). Lines are never erased. A slot whose line is
+ * kVacantLine is empty; that one line's version is kept beside the
+ * array, so every 64-bit line address is storable.
  */
 class BackingStore
 {
   public:
-    BackingStore() = default;
+    /** The line value that marks an empty slot. */
+    static constexpr LineAddr kVacantLine = ~LineAddr{0};
 
     /** Current version of @p line (0 if never written). */
     std::uint64_t
     read(LineAddr line) const
     {
-        auto it = versions_.find(line);
-        return it == versions_.end() ? 0 : it->second;
+        if (line == kVacantLine)
+            return vacant_line_version_;
+        // An empty slot holds version 0.
+        return slots_.empty() ? 0 : slots_[probe(line)].version;
     }
 
     /** Stores @p version for @p line (used by writebacks). */
     void
     write(LineAddr line, std::uint64_t version)
     {
-        versions_[line] = version;
         ++writes_;
+        if (line == kVacantLine) {
+            vacant_line_version_ = version;
+            return;
+        }
+        if (slots_.empty())
+            slots_.assign(kInitialSlots, Slot{});
+        std::size_t s = probe(line);
+        if (slots_[s].line == kVacantLine) {
+            if (4 * (count_ + 1) > 3 * slots_.size()) {
+                grow();
+                s = probe(line);
+            }
+            slots_[s].line = line;
+            ++count_;
+        }
+        slots_[s].version = version;
     }
 
     /** Allocates and returns the next globally unique version number. */
@@ -45,7 +71,40 @@ class BackingStore
     std::uint64_t writes() const { return writes_; }
 
   private:
-    std::unordered_map<LineAddr, std::uint64_t> versions_;
+    static constexpr std::size_t kInitialSlots = 1024;
+
+    struct Slot
+    {
+        LineAddr line = kVacantLine;
+        std::uint64_t version = 0;
+    };
+
+    /** The slot holding @p line, or the empty slot ending its probe
+     *  chain. @pre the slot array is allocated (it is never full). */
+    std::size_t
+    probe(LineAddr line) const
+    {
+        const std::size_t mask = slots_.size() - 1;
+        std::size_t s = mix64(line) & mask;
+        while (slots_[s].line != line && slots_[s].line != kVacantLine)
+            s = (s + 1) & mask;
+        return s;
+    }
+
+    void
+    grow()
+    {
+        std::vector<Slot> old = std::move(slots_);
+        slots_.assign(2 * old.size(), Slot{});
+        for (const Slot &slot : old) {
+            if (slot.line != kVacantLine)
+                slots_[probe(slot.line)] = slot;
+        }
+    }
+
+    std::vector<Slot> slots_;
+    std::size_t count_ = 0;
+    std::uint64_t vacant_line_version_ = 0;
     std::uint64_t version_clock_ = 0;
     std::uint64_t writes_ = 0;
 };

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "cache/set_assoc_cache.hpp"
 #include "sim/rng.hpp"
@@ -107,8 +113,8 @@ TEST(SetAssocCache, HashedIndexSpreadsConflictingLowBits)
 {
     // Lines that share low bits collide in a low-bit-indexed cache but
     // spread under hashed indexing.
-    SetAssocCache plain(16, 1, ReplacementKind::kLru, false);
-    SetAssocCache hashed(16, 1, ReplacementKind::kLru, true);
+    SetAssocCache plain(16, 1, false);
+    SetAssocCache hashed(16, 1, true);
     int plain_same = 0;
     int hashed_same = 0;
     for (LineAddr l = 0; l < 32; ++l) {
@@ -119,6 +125,230 @@ TEST(SetAssocCache, HashedIndexSpreadsConflictingLowBits)
     EXPECT_LT(hashed_same, 8);
 }
 
+TEST(SetAssocCache, RejectsWaysOutsideOneToSixteen)
+{
+    EXPECT_THROW(SetAssocCache(4, 0), std::invalid_argument);
+    EXPECT_THROW(SetAssocCache(4, 17), std::invalid_argument);
+    EXPECT_NO_THROW(SetAssocCache(4, 1));
+    EXPECT_NO_THROW(SetAssocCache(4, 16));
+}
+
+namespace {
+
+/**
+ * Whole-cache reference model: per-line tag, valid and dirty bits,
+ * version and a last-touch stamp. A fill takes the lowest invalid way,
+ * else the way with the smallest stamp (ties to the lowest way), which
+ * is LRU with never-touched ways victimized in way order.
+ */
+class StampLruOracle
+{
+  public:
+    StampLruOracle(std::uint32_t sets, std::uint32_t ways, bool hashed)
+        : sets_(sets), ways_(ways), hashed_(hashed), lines_(static_cast<std::size_t>(sets) * ways)
+    {
+    }
+
+    SetAssocCache::LookupResult
+    read(LineAddr line)
+    {
+        Line *l = find(line);
+        if (!l) {
+            ++misses;
+            return {};
+        }
+        ++hits;
+        l->stamp = ++clock_;
+        return {true, l->version};
+    }
+
+    SetAssocCache::LookupResult
+    write(LineAddr line, std::uint64_t version)
+    {
+        Line *l = find(line);
+        if (!l) {
+            ++misses;
+            return {};
+        }
+        ++hits;
+        l->dirty = true;
+        l->version = version;
+        l->stamp = ++clock_;
+        return {true, version};
+    }
+
+    std::optional<SetAssocCache::Eviction>
+    fill(LineAddr line, std::uint64_t version, bool dirty)
+    {
+        ++fills;
+        if (Line *l = find(line)) {
+            l->version = std::max(l->version, version);
+            l->dirty = l->dirty || dirty;
+            l->stamp = ++clock_;
+            return std::nullopt;
+        }
+        Line *set = set_of(line);
+        Line *target = nullptr;
+        for (std::uint32_t w = 0; w < ways_ && !target; ++w) {
+            if (!set[w].valid)
+                target = &set[w];
+        }
+        std::optional<SetAssocCache::Eviction> evicted;
+        if (!target) {
+            target = &set[0];
+            for (std::uint32_t w = 1; w < ways_; ++w) {
+                if (set[w].stamp < target->stamp)
+                    target = &set[w];
+            }
+            evicted = SetAssocCache::Eviction{target->tag, target->dirty, target->version};
+            ++evictions;
+            writebacks += target->dirty;
+        }
+        *target = Line{line, true, dirty, version, ++clock_};
+        return evicted;
+    }
+
+    std::optional<SetAssocCache::Eviction>
+    invalidate(LineAddr line)
+    {
+        Line *l = find(line);
+        if (!l)
+            return std::nullopt;
+        l->valid = false;
+        return SetAssocCache::Eviction{line, std::exchange(l->dirty, false), l->version};
+    }
+
+    bool probe(LineAddr line) { return find(line) != nullptr; }
+
+    std::vector<std::pair<LineAddr, std::uint64_t>>
+    flush()
+    {
+        std::vector<std::pair<LineAddr, std::uint64_t>> out;
+        for (Line &l : lines_) {
+            if (l.valid && l.dirty)
+                out.emplace_back(l.tag, l.version);
+            l.valid = l.dirty = false;
+        }
+        return out;
+    }
+
+    std::uint64_t hits = 0, misses = 0, fills = 0, evictions = 0, writebacks = 0;
+
+  private:
+    struct Line
+    {
+        LineAddr tag = 0;
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t version = 0;
+        std::uint64_t stamp = 0;
+    };
+
+    Line *
+    set_of(LineAddr line)
+    {
+        const std::uint64_t set = (hashed_ ? mix64(line) : line) % sets_;
+        return &lines_[set * ways_];
+    }
+
+    Line *
+    find(LineAddr line)
+    {
+        Line *set = set_of(line);
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (set[w].valid && set[w].tag == line)
+                return &set[w];
+        }
+        return nullptr;
+    }
+
+    std::uint32_t sets_;
+    std::uint32_t ways_;
+    bool hashed_;
+    std::uint64_t clock_ = 0;
+    std::vector<Line> lines_;
+};
+
+bool
+same(const std::optional<SetAssocCache::Eviction> &a,
+     const std::optional<SetAssocCache::Eviction> &b)
+{
+    if (!a || !b)
+        return a.has_value() == b.has_value();
+    return a->line == b->line && a->dirty == b->dirty && a->version == b->version;
+}
+
+} // namespace
+
+/**
+ * Random reads, writes, clean and dirty fills (some refilling a present
+ * line with an older version), invalidates, probes and one mid-run flush,
+ * against the reference model at every width from 1 to 16 ways: every
+ * outcome, eviction record, flushed line and counter must match.
+ */
+TEST(SetAssocCache, MatchesStampLruReferenceModel)
+{
+    constexpr std::uint32_t kSets = 16;
+    constexpr int kOps = 40'000;
+    for (std::uint32_t ways = 1; ways <= 16; ++ways) {
+        for (bool hashed : {false, true}) {
+            SetAssocCache cache(kSets, ways, hashed);
+            StampLruOracle oracle(kSets, ways, hashed);
+            Rng rng(ways * 2 + hashed);
+            const std::uint64_t footprint = 3 * kSets * ways;
+            for (int i = 0; i < kOps; ++i) {
+                const auto where = [&] {
+                    return "ways=" + std::to_string(ways) + " hashed=" + std::to_string(hashed) +
+                           " op=" + std::to_string(i);
+                };
+                const LineAddr line = rng.next_below(footprint) * 0x1000 + 7;
+                const auto n = static_cast<std::uint64_t>(i) + 1;
+                const std::uint64_t version = i % 5 == 0 ? rng.next_below(n) : n;
+                switch (rng.next_below(6)) {
+                  case 0: {
+                    const auto got = cache.read(line);
+                    const auto want = oracle.read(line);
+                    ASSERT_EQ(got.hit, want.hit) << where();
+                    ASSERT_EQ(got.version, want.version) << where();
+                    break;
+                  }
+                  case 1: {
+                    const auto got = cache.write(line, version);
+                    const auto want = oracle.write(line, version);
+                    ASSERT_EQ(got.hit, want.hit) << where();
+                    ASSERT_EQ(got.version, want.version) << where();
+                    break;
+                  }
+                  case 2:
+                  case 3: {
+                    const bool dirty = rng.next_below(2) == 0;
+                    ASSERT_TRUE(same(cache.fill(line, version, dirty),
+                                     oracle.fill(line, version, dirty)))
+                        << where();
+                    break;
+                  }
+                  case 4:
+                    ASSERT_TRUE(same(cache.invalidate(line), oracle.invalidate(line))) << where();
+                    break;
+                  default:
+                    ASSERT_EQ(cache.probe(line), oracle.probe(line)) << where();
+                    break;
+                }
+                if (i == kOps / 2) {
+                    std::vector<std::pair<LineAddr, std::uint64_t>> flushed;
+                    cache.flush([&](LineAddr l, std::uint64_t v) { flushed.emplace_back(l, v); });
+                    ASSERT_EQ(flushed, oracle.flush()) << where();
+                }
+            }
+            EXPECT_EQ(cache.hits(), oracle.hits);
+            EXPECT_EQ(cache.misses(), oracle.misses);
+            EXPECT_EQ(cache.fills(), oracle.fills);
+            EXPECT_EQ(cache.evictions(), oracle.evictions);
+            EXPECT_EQ(cache.writebacks(), oracle.writebacks);
+        }
+    }
+}
+
 /** Property: steady-state hit rate tracks capacity/footprint. */
 class CacheHitRate : public ::testing::TestWithParam<std::uint32_t>
 {
@@ -127,7 +357,7 @@ class CacheHitRate : public ::testing::TestWithParam<std::uint32_t>
 TEST_P(CacheHitRate, UniformRandomHitRateTracksCapacityRatio)
 {
     const std::uint32_t footprint_lines = GetParam();
-    SetAssocCache cache(64, 8, ReplacementKind::kLru, true);  // 512 lines
+    SetAssocCache cache(64, 8, true);  // 512 lines
     Rng rng(footprint_lines);
     std::uint64_t hits = 0;
     constexpr int kWarmup = 20'000;
@@ -214,8 +444,8 @@ run_fixed_ops(SetAssocCache &cache, std::uint64_t seed)
  */
 TEST(SetAssocCache, OpOutcomesArePinned)
 {
-    SetAssocCache l1(128, 8, ReplacementKind::kLru, false);  // 128 KiB, 8-way
-    SetAssocCache llc(256, 16, ReplacementKind::kLru, true); // one LLC partition
+    SetAssocCache l1(128, 8, false);  // 128 KiB, 8-way
+    SetAssocCache llc(256, 16, true); // one LLC partition
     EXPECT_EQ(run_fixed_ops(l1, 1), 0xd2604ab48811357cULL);
     EXPECT_EQ(run_fixed_ops(llc, 2), 0xf1e5d05ef1271310ULL);
 }
