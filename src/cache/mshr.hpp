@@ -16,9 +16,9 @@ namespace morpheus {
  *
  * Tracks outstanding line fetches so that concurrent misses to the same
  * line are merged onto one memory request. Each entry carries a FIFO of
- * @p Waiter records (a response callback at the L1, a pending-request
- * record at the LLC) handed back, in arrival order, when the line
- * returns.
+ * @p Waiter records (the SM's 32-bit step token at the L1, an
+ * `{issued, ReqId}` pair at the LLC) handed back, in arrival order, when
+ * the line returns.
  *
  * The miss path runs this table on every L1 and LLC miss, so it neither
  * chases pointers nor allocates per miss:

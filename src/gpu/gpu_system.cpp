@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "morpheus/address_separator.hpp"
 #include "morpheus/morpheus_controller.hpp"
@@ -36,7 +37,7 @@ GpuSystem::GpuSystem(const SystemSetup &setup, Workload &workload)
     const GpuConfig &cfg = setup_.cfg;
     assert(setup_.compute_sms + setup_.morpheus.cache_sms <= cfg.num_sms);
 
-    ctx_ = FabricContext{&eq_, &noc_, &dram_, &store_, &energy_, &setup_.cfg};
+    ctx_ = FabricContext{&eq_, &noc_, &dram_, &store_, &energy_, &setup_.cfg, &reqs_, this};
 
     if (cfg.mem_frequency_scale != 1.0) {
         noc_.set_frequency_scale(cfg.mem_frequency_scale);
@@ -65,7 +66,7 @@ GpuSystem::GpuSystem(const SystemSetup &setup, Workload &workload)
     }
 
     for (std::uint32_t i = 0; i < setup_.compute_sms; ++i)
-        sms_.push_back(std::make_unique<Sm>(i, ctx_, this, &workload_));
+        sms_.push_back(std::make_unique<Sm>(i, ctx_, &workload_));
 
     if (setup_.l1_bonus_bytes > 0) {
         for (auto &sm : sms_)
@@ -82,19 +83,52 @@ GpuSystem::controller(std::uint32_t p)
 }
 
 void
-GpuSystem::to_llc(Cycle when, const MemRequest &req, RespFn resp)
+GpuSystem::to_llc(Cycle when, ReqId id)
 {
+    const MemRequest &req = reqs_[id].req;
     const std::uint32_t p = partition_of(req.line, setup_.cfg.llc_partitions);
     const std::uint32_t payload = req.type == AccessType::kRead ? 0 : kLineBytes;
     energy_.add_noc_bytes(payload + noc_.params().header_bytes);
     const Cycle arrival = noc_.sm_to_partition(when, req.requester_sm, p, payload);
 
-    eq_.schedule(arrival, [this, p, req, arrival, resp = std::move(resp)]() mutable {
+    eq_.schedule(arrival, [this, p, id, arrival] {
         if (!controllers_.empty())
-            controllers_[p]->handle(arrival, req, std::move(resp));
+            controllers_[p]->handle(arrival, id);
         else
-            partitions_[p]->handle(arrival, req, std::move(resp));
+            partitions_[p]->handle(arrival, id);
     });
+}
+
+void
+GpuSystem::deliver(ReqId id, Cycle when, std::uint64_t version)
+{
+    const ReqPool::Record &rec = reqs_[id];
+    if ((rec.token & kProbeTokenBit) == 0) {
+        sms_[rec.req.requester_sm]->l1().on_response(id, when, version);
+        return;
+    }
+    // Free the slot and the record before the callback runs: it may
+    // issue the next probe.
+    const std::uint32_t slot = rec.token & ~kProbeTokenBit;
+    const RespFn resp = std::move(probes_[slot]);
+    probe_free_.push_back(slot);
+    reqs_.release(id);
+    resp(when, version);
+}
+
+void
+GpuSystem::to_llc(Cycle when, const MemRequest &req, RespFn resp)
+{
+    std::uint32_t slot;
+    if (probe_free_.empty()) {
+        slot = static_cast<std::uint32_t>(probes_.size());
+        probes_.push_back(std::move(resp));
+    } else {
+        slot = probe_free_.back();
+        probe_free_.pop_back();
+        probes_[slot] = std::move(resp);
+    }
+    to_llc(when, reqs_.acquire(req, kProbeTokenBit | slot));
 }
 
 void

@@ -2,6 +2,7 @@
 #define MORPHEUS_GPU_GPU_SYSTEM_HPP_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +24,13 @@ namespace morpheus {
 
 class MorpheusController;
 class ExtendedLlc;
+
+/**
+ * Completion callback of a probe request (GpuSystem's callback overload
+ * of to_llc): invoked when the response reaches the requester, with the
+ * completion time and the data version observed/produced.
+ */
+using RespFn = std::function<void(Cycle when, std::uint64_t version)>;
 
 /** Morpheus-specific knobs of a system configuration. */
 struct MorpheusOptions
@@ -167,7 +175,16 @@ class GpuSystem : public LlcRouter
     ///@}
 
     // LlcRouter
-    void to_llc(Cycle when, const MemRequest &req, RespFn resp) override;
+    void to_llc(Cycle when, ReqId id) override;
+    void deliver(ReqId id, Cycle when, std::uint64_t version) override;
+
+    /**
+     * Probe entry point (scenarios and tests): sends @p req into the
+     * memory side as if from SM `req.requester_sm` at @p when, and calls
+     * @p resp when the response arrives. The callback waits in a side
+     * table, off the SMs' request path.
+     */
+    void to_llc(Cycle when, const MemRequest &req, RespFn resp);
 
     /** @name Component access (tests, probes, benches) */
     ///@{
@@ -175,6 +192,7 @@ class GpuSystem : public LlcRouter
     Crossbar &noc() { return noc_; }
     DramModel &dram() { return dram_; }
     BackingStore &store() { return store_; }
+    const ReqPool &requests() const { return reqs_; }
     LlcPartition &partition(std::uint32_t p) { return *partitions_[p]; }
     std::uint32_t num_partitions() const
     {
@@ -198,12 +216,17 @@ class GpuSystem : public LlcRouter
     Crossbar noc_;
     DramModel dram_;
     BackingStore store_;
+    ReqPool reqs_;
     FabricContext ctx_;
 
     std::vector<std::unique_ptr<LlcPartition>> partitions_;
     std::unique_ptr<ExtendedLlc> ext_;
     std::vector<std::unique_ptr<MorpheusController>> controllers_;
     std::vector<std::unique_ptr<Sm>> sms_;
+
+    /** Probe callbacks, indexed by the token's low bits, and the free slots. */
+    std::vector<RespFn> probes_;
+    std::vector<std::uint32_t> probe_free_;
 };
 
 } // namespace morpheus

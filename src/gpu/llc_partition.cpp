@@ -1,7 +1,6 @@
 #include "gpu/llc_partition.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "mem/backing_store.hpp"
 #include "mem/dram.hpp"
@@ -27,29 +26,28 @@ LlcPartition::set_frequency_scale(double scale)
 }
 
 void
-LlcPartition::handle(Cycle when, const MemRequest &req, RespFn resp)
+LlcPartition::handle(Cycle when, ReqId id)
 {
     ++accesses_;
     ctx_.energy->add_llc_bytes(kLineBytes);
 
     // Reserve a bank, then the pipeline latency.
-    const Cycle granted = banks_.acquire_keyed(when, mix64(req.line), 1);
+    const Cycle granted = banks_.acquire_keyed(when, mix64((*ctx_.reqs)[id].req.line), 1);
     const Cycle looked_up = granted + lookup_cycles_;
-    ctx_.eq->schedule(looked_up, [this, when, req, resp = std::move(resp)]() mutable {
-        lookup(when, req, std::move(resp));
-    });
+    ctx_.eq->schedule(looked_up, [this, when, id] { lookup(when, id); });
 }
 
 void
-LlcPartition::lookup(Cycle issued, const MemRequest &req, RespFn resp)
+LlcPartition::lookup(Cycle issued, ReqId id)
 {
     const Cycle now = ctx_.eq->now();
+    const MemRequest &req = (*ctx_.reqs)[id].req;
     switch (req.type) {
       case AccessType::kRead: {
         const auto result = cache_.read(req.line);
         if (result.hit) {
             hit_latency_.add(static_cast<double>(now - issued));
-            respond(now, req, result.version, true, std::move(resp));
+            respond(now, id, result.version, true);
             return;
         }
         break;
@@ -57,7 +55,7 @@ LlcPartition::lookup(Cycle issued, const MemRequest &req, RespFn resp)
       case AccessType::kWrite: {
         const auto result = cache_.write(req.line, req.write_version);
         if (result.hit) {
-            respond(now, req, req.write_version, false, std::move(resp));
+            respond(now, id, req.write_version, false);
             return;
         }
         break;
@@ -69,7 +67,7 @@ LlcPartition::lookup(Cycle issued, const MemRequest &req, RespFn resp)
         if (result.hit) {
             const std::uint64_t version = std::max(result.version, req.write_version);
             cache_.write(req.line, version);
-            respond(now, req, version, true, std::move(resp));
+            respond(now, id, version, true);
             return;
         }
         break;
@@ -77,8 +75,7 @@ LlcPartition::lookup(Cycle issued, const MemRequest &req, RespFn resp)
     }
 
     // Miss path: merge into the partition MSHRs and fetch from DRAM.
-    const bool primary =
-        mshrs_.allocate_or_merge(req.line, MissWaiter{issued, req, std::move(resp)});
+    const bool primary = mshrs_.allocate_or_merge(req.line, MissWaiter{issued, id});
     if (!primary)
         return;
 
@@ -89,15 +86,15 @@ LlcPartition::lookup(Cycle issued, const MemRequest &req, RespFn resp)
         const auto evicted = cache_.fill(line, version, false);
         if (evicted && evicted->dirty)
             dram_writeback(done, evicted->line, evicted->version);
-        mshrs_.release(line, [this, done, version](MissWaiter &w) {
+        mshrs_.release(line, [this, done, version](const MissWaiter &w) {
+            const MemRequest &wreq = (*ctx_.reqs)[w.id].req;
             std::uint64_t out_version = version;
-            if (w.req.type == AccessType::kWrite || w.req.type == AccessType::kAtomic) {
-                out_version = std::max(version, w.req.write_version);
-                cache_.write(w.req.line, out_version);
+            if (wreq.type == AccessType::kWrite || wreq.type == AccessType::kAtomic) {
+                out_version = std::max(version, wreq.write_version);
+                cache_.write(wreq.line, out_version);
             }
             miss_latency_.add(static_cast<double>(done - w.issued));
-            respond(done, w.req, out_version, w.req.type != AccessType::kWrite,
-                    std::move(w.resp));
+            respond(done, w.id, out_version, wreq.type != AccessType::kWrite);
         });
     });
 }
@@ -118,14 +115,14 @@ LlcPartition::dram_writeback(Cycle when, LineAddr line, std::uint64_t version)
 }
 
 void
-LlcPartition::respond(Cycle when, const MemRequest &req, std::uint64_t version,
-                      bool carries_data, RespFn resp)
+LlcPartition::respond(Cycle when, ReqId id, std::uint64_t version, bool carries_data)
 {
     const std::uint32_t payload = carries_data ? kLineBytes : 0;
     ctx_.energy->add_noc_bytes(payload + ctx_.noc->params().header_bytes);
-    const Cycle delivered = ctx_.noc->partition_to_sm(when, index_, req.requester_sm, payload);
-    ctx_.eq->schedule(delivered, [resp = std::move(resp), delivered, version] {
-        resp(delivered, version);
+    const Cycle delivered =
+        ctx_.noc->partition_to_sm(when, index_, (*ctx_.reqs)[id].req.requester_sm, payload);
+    ctx_.eq->schedule(delivered, [this, id, delivered, version] {
+        ctx_.router->deliver(id, delivered, version);
     });
 }
 

@@ -35,10 +35,10 @@ class LlcPartition
                  Cycle latency, std::uint32_t banks, Cycle bank_occupancy);
 
     /**
-     * Handles @p req arriving at this partition at @p when. @p resp fires
-     * when the response reaches the requesting SM.
+     * Handles request @p id arriving at this partition at @p when. The
+     * router delivers it when the response reaches the requesting SM.
      */
-    void handle(Cycle when, const MemRequest &req, RespFn resp);
+    void handle(Cycle when, ReqId id);
 
     /**
      * Fetches @p line from this partition's DRAM channel bypassing the
@@ -70,16 +70,14 @@ class LlcPartition
     struct MissWaiter
     {
         Cycle issued = 0;
-        MemRequest req;
-        RespFn resp;
+        ReqId id = 0;
     };
 
     /** Performs the lookup once a bank granted service. */
-    void lookup(Cycle when, const MemRequest &req, RespFn resp);
+    void lookup(Cycle when, ReqId id);
 
-    /** Sends the response over the NoC and schedules @p resp. */
-    void respond(Cycle when, const MemRequest &req, std::uint64_t version, bool carries_data,
-                 RespFn resp);
+    /** Sends the response over the NoC and schedules its delivery. */
+    void respond(Cycle when, ReqId id, std::uint64_t version, bool carries_data);
 
     std::uint32_t index_;
     FabricContext ctx_;

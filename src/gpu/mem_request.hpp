@@ -1,8 +1,10 @@
 #ifndef MORPHEUS_GPU_MEM_REQUEST_HPP_
 #define MORPHEUS_GPU_MEM_REQUEST_HPP_
 
+#include <cassert>
 #include <cstdint>
-#include <functional>
+#include <limits>
+#include <vector>
 
 #include "sim/types.hpp"
 
@@ -34,16 +36,92 @@ struct MemRequest
     std::uint64_t write_version = 0;
 };
 
+/** Identifies one in-flight request record in a ReqPool. */
+using ReqId = std::uint32_t;
+
 /**
- * Completion callback: invoked (as an event) when the request finishes,
- * with the completion time and the data version observed/produced.
+ * Requester tokens with this bit set belong to the router's own probe
+ * requests (GpuSystem's callback overload of to_llc); L1 tokens never
+ * set it.
  */
-using RespFn = std::function<void(Cycle when, std::uint64_t version)>;
+inline constexpr std::uint32_t kProbeTokenBit = 1u << 31;
+
+/**
+ * The system's in-flight memory requests, one flat record each, addressed
+ * by a 32-bit ReqId. The L1 (or a probe) acquires a record when a request
+ * departs for the LLC and releases it when the response is delivered, so
+ * every hop in between passes 4 bytes instead of the request and a
+ * completion closure. Records are recycled through a free list; the pool
+ * only grows to the run's peak in-flight count.
+ *
+ * A Record reference is invalidated by acquire(): read what you need
+ * before a call that may issue a new request.
+ */
+class ReqPool
+{
+  public:
+    struct Record
+    {
+        MemRequest req;
+        /** Requester-side completion token; its meaning belongs to the
+         *  requester (an L1 step slot, a fill, a probe callback). */
+        std::uint32_t token = 0;
+        /** Free-list link (valid only while the record is free). */
+        ReqId next_free = kNone;
+        /** Time the request reached the Morpheus controller. */
+        Cycle arrived = 0;
+    };
+
+    /** Takes a free record for @p req, tagged with the requester's @p token. */
+    ReqId
+    acquire(const MemRequest &req, std::uint32_t token)
+    {
+        ReqId id = free_;
+        if (id == kNone) {
+            id = static_cast<ReqId>(records_.size());
+            records_.emplace_back();
+        } else {
+            free_ = records_[id].next_free;
+        }
+        Record &rec = records_[id];
+        rec.req = req;
+        rec.token = token;
+        ++in_flight_;
+        return id;
+    }
+
+    /** Returns record @p id to the free list. */
+    void
+    release(ReqId id)
+    {
+        assert(in_flight_ > 0);
+        records_[id].next_free = free_;
+        free_ = id;
+        --in_flight_;
+    }
+
+    Record &operator[](ReqId id) { return records_[id]; }
+    const Record &operator[](ReqId id) const { return records_[id]; }
+
+    /** Records acquired and not yet released. */
+    std::size_t in_flight() const { return in_flight_; }
+
+  private:
+    static constexpr ReqId kNone = std::numeric_limits<ReqId>::max();
+
+    std::vector<Record> records_;
+    ReqId free_ = kNone;
+    std::size_t in_flight_ = 0;
+};
+
+class LlcRouter;
 
 /**
  * Shared plumbing handed to every timing component: the event queue, the
- * interconnect, DRAM, the functional backing store, energy accounting and
- * the configuration. Non-owning; the GpuSystem outlives all users.
+ * interconnect, DRAM, the functional backing store, energy accounting,
+ * the configuration, the in-flight request pool and the router that
+ * carries requests to the LLC and responses back. Non-owning; the
+ * GpuSystem outlives all users.
  */
 struct FabricContext
 {
@@ -53,12 +131,15 @@ struct FabricContext
     BackingStore *store = nullptr;
     EnergyModel *energy = nullptr;
     const GpuConfig *cfg = nullptr;
+    ReqPool *reqs = nullptr;
+    LlcRouter *router = nullptr;
 };
 
 /**
  * Routing interface implemented by GpuSystem: carries an L1 miss (or
  * uncached access) from an SM across the NoC into the right LLC
- * partition, which may be fronted by a Morpheus controller.
+ * partition, which may be fronted by a Morpheus controller, and hands
+ * each response back to its requester.
  */
 class LlcRouter
 {
@@ -66,10 +147,16 @@ class LlcRouter
     virtual ~LlcRouter() = default;
 
     /**
-     * Sends @p req (departing SM @p req.requester_sm at @p when) into the
-     * memory side. @p resp is scheduled when the access completes.
+     * Sends request @p id (departing SM `req.requester_sm` at @p when)
+     * into the memory side.
      */
-    virtual void to_llc(Cycle when, const MemRequest &req, RespFn resp) = 0;
+    virtual void to_llc(Cycle when, ReqId id) = 0;
+
+    /**
+     * The response to request @p id reached its requester at @p when,
+     * carrying data version @p version. Releases the record.
+     */
+    virtual void deliver(ReqId id, Cycle when, std::uint64_t version) = 0;
 };
 
 } // namespace morpheus

@@ -1,7 +1,5 @@
 #include "gpu/sm.hpp"
 
-#include <memory>
-
 #include "gpu/gpu_config.hpp"
 #include "mem/backing_store.hpp"
 #include "power/energy_model.hpp"
@@ -9,9 +7,9 @@
 
 namespace morpheus {
 
-Sm::Sm(std::uint32_t index, FabricContext ctx, LlcRouter *router, Workload *wl)
-    : index_(index), ctx_(ctx), router_(router), workload_(wl),
-      l1_(index, ctx, router, ctx.cfg->l1_bytes, ctx.cfg->l1_ways, ctx.cfg->l1_latency,
+Sm::Sm(std::uint32_t index, FabricContext ctx, Workload *wl)
+    : index_(index), ctx_(ctx), workload_(wl),
+      l1_(index, ctx, this, ctx.cfg->l1_bytes, ctx.cfg->l1_ways, ctx.cfg->l1_latency,
           ctx.cfg->l1_mshrs),
       issue_port_(ThroughputPort::from_rate(ctx.cfg->issue_width))
 {
@@ -103,40 +101,40 @@ Sm::issue()
             ready_.push(ReadyEntry{end + 4, top.warp});
         }
 
-        if (blocking) {
-            const std::uint32_t slot = alloc_step_counter(step.num_lines);
-            for (std::uint32_t i = 0; i < step.num_lines; ++i) {
-                const std::uint32_t warp = top.warp;
-                l1_.access(end, step.type, step.lines[i], version,
-                           [this, warp, slot](Cycle t, std::uint64_t) {
-                               if (--step_counters_[slot] == 0) {
-                                   counter_free_.push_back(slot);
-                                   complete_mem(warp, t);
-                               }
-                           });
-            }
-        } else {
-            // Fire-and-forget: nothing waits on the responses.
-            for (std::uint32_t i = 0; i < step.num_lines; ++i)
-                l1_.access(end, step.type, step.lines[i], version, [](Cycle, std::uint64_t) {});
-        }
+        // A blocking step's lines all carry its step slot; nothing waits
+        // on a fire-and-forget store's responses.
+        const std::uint32_t token =
+            blocking ? alloc_step_counter(top.warp, step.num_lines) : L1Cache::kNoToken;
+        for (std::uint32_t i = 0; i < step.num_lines; ++i)
+            l1_.access(end, step.type, step.lines[i], version, token);
     }
     // All warps blocked (or done): complete_mem re-arms issuing.
 }
 
 std::uint32_t
-Sm::alloc_step_counter(std::uint32_t lines)
+Sm::alloc_step_counter(std::uint32_t warp, std::uint32_t lines)
 {
     std::uint32_t slot;
     if (counter_free_.empty()) {
         slot = static_cast<std::uint32_t>(step_counters_.size());
         step_counters_.push_back(lines);
+        step_warps_.push_back(warp);
     } else {
         slot = counter_free_.back();
         counter_free_.pop_back();
         step_counters_[slot] = lines;
+        step_warps_[slot] = warp;
     }
     return slot;
+}
+
+void
+Sm::line_done(std::uint32_t slot, Cycle when, std::uint64_t)
+{
+    if (--step_counters_[slot] == 0) {
+        counter_free_.push_back(slot);
+        complete_mem(step_warps_[slot], when);
+    }
 }
 
 void

@@ -19,16 +19,18 @@ namespace morpheus {
  * shared issue port, and blocks warps on their outstanding memory
  * accesses. Fully event driven (no per-cycle ticking).
  */
-class Sm
+class Sm final : public L1Client
 {
   public:
     /**
      * @param index  global SM id (NoC port).
-     * @param ctx    shared fabric plumbing.
-     * @param router memory-side routing (GpuSystem).
+     * @param ctx    shared fabric plumbing (its router leads to the LLC).
      * @param wl     the workload generating this SM's warp streams.
      */
-    Sm(std::uint32_t index, FabricContext ctx, LlcRouter *router, Workload *wl);
+    Sm(std::uint32_t index, FabricContext ctx, Workload *wl);
+
+    Sm(const Sm &) = delete;
+    Sm &operator=(const Sm &) = delete;
 
     /** Activates the SM's warps and schedules the first issue. */
     void start();
@@ -49,6 +51,9 @@ class Sm
     std::uint64_t issue_events() const { return issue_events_; }
     ///@}
 
+    /** L1Client: one line of memory step @p slot completed at @p when. */
+    void line_done(std::uint32_t slot, Cycle when, std::uint64_t version) override;
+
   private:
     struct ReadyEntry
     {
@@ -63,11 +68,10 @@ class Sm
     void schedule_issue(Cycle when);
     void issue();
     void complete_mem(std::uint32_t warp, Cycle when);
-    std::uint32_t alloc_step_counter(std::uint32_t lines);
+    std::uint32_t alloc_step_counter(std::uint32_t warp, std::uint32_t lines);
 
     std::uint32_t index_;
     FabricContext ctx_;
-    LlcRouter *router_;
     Workload *workload_;
     L1Cache l1_;
     ThroughputPort issue_port_;
@@ -84,14 +88,14 @@ class Sm
     std::uint32_t live_warps_ = 0;
 
     /**
-     * Outstanding-line counters for in-flight memory steps, recycled
-     * through a free list. A slot index travels in each L1 response
-     * callback instead of a std::make_shared<uint32_t> counter, keeping
-     * the per-step capture trivially copyable and small enough for the
-     * std::function SSO buffer — the issue loop allocates nothing per
-     * step. Slots are released when the last line response arrives.
+     * In-flight blocking memory steps, recycled through a free list: the
+     * lines each still waits for, and its warp. The slot index is the
+     * token each of the step's L1 accesses carries, so the issue loop
+     * allocates nothing per step. A slot is released when its last line
+     * completes.
      */
     std::vector<std::uint32_t> step_counters_;
+    std::vector<std::uint32_t> step_warps_;
     std::vector<std::uint32_t> counter_free_;
 
     /** True while an issue event is armed (dedup guard). */

@@ -299,22 +299,23 @@ CacheModeSm::storage_access(std::uint32_t s, std::uint32_t bytes)
 }
 
 void
-CacheModeSm::dram_round_trip(Cycle when, LineAddr line, std::function<void(Cycle)> on_data)
+CacheModeSm::dram_round_trip(std::uint32_t s, Cycle start)
 {
     // Kernel-side miss: cache-mode SM -> NoC -> home partition -> DRAM
     // channel -> NoC -> cache-mode SM, bypassing the conventional LLC.
     // The return transfer is reserved by an event at fetch completion so
     // that port reservations stay monotonic in time.
+    const LineAddr line = sets_[s].queue.front().req.line;
     auto &parts = *partitions_;
     const std::uint32_t p = partition_of(line, static_cast<std::uint32_t>(parts.size()));
     ctx_.energy->add_noc_bytes(ctx_.noc->params().header_bytes);
-    const Cycle at_partition = ctx_.noc->sm_to_partition(when, sm_id_, p, 0);
+    const Cycle at_partition = ctx_.noc->sm_to_partition(ctx_.eq->now(), sm_id_, p, 0);
     const Cycle fetched = parts[p]->dram_fetch(at_partition, line);
-    ctx_.eq->schedule(fetched, [this, p, on_data = std::move(on_data)] {
+    ctx_.eq->schedule(fetched, [this, p, s, start] {
         ctx_.energy->add_noc_bytes(kLineBytes + ctx_.noc->params().header_bytes);
         const Cycle data_at_sm =
             ctx_.noc->partition_to_sm(ctx_.eq->now(), p, sm_id_, kLineBytes);
-        on_data(data_at_sm);
+        ctx_.eq->schedule(data_at_sm, [this, s, start] { service_miss_fill(s, start); });
     });
 }
 
@@ -343,7 +344,7 @@ CacheModeSm::enqueue_request(Cycle ready, std::uint32_t s, const MemRequest &req
         for (std::size_t i = ws.queue.size(); i > first; --i) {
             Task &t = ws.queue[i - 1];
             if (!t.is_insert && t.req.line == req.line && t.req.type == AccessType::kRead) {
-                t.merged.push_back(std::move(done));
+                t.merged.push_back(done);
                 ++merged_requests_;
                 return;
             }
@@ -353,7 +354,7 @@ CacheModeSm::enqueue_request(Cycle ready, std::uint32_t s, const MemRequest &req
     Task task;
     task.is_insert = false;
     task.req = req;
-    task.done = std::move(done);
+    task.done = done;
     task.ready = ready;
     ws.queue.push_back(std::move(task));
     ++ws.tasks;
@@ -507,14 +508,7 @@ CacheModeSm::service(Cycle when, std::uint32_t s)
     // NoC/DRAM reservations happen at monotonic event times; it launches
     // at lookup time, not `t` — the service handshake overlaps the round
     // trip rather than preceding it.
-    ctx_.eq->schedule(lookup, [this, s, start] {
-        WarpSet &wsx = sets_[s];
-        dram_round_trip(ctx_.eq->now(), wsx.queue.front().req.line,
-                        [this, s, start](Cycle data_at_sm) {
-                            ctx_.eq->schedule(data_at_sm,
-                                              [this, s, start] { service_miss_fill(s, start); });
-                        });
-    });
+    ctx_.eq->schedule(lookup, [this, s, start] { dram_round_trip(s, start); });
 }
 
 void
@@ -561,7 +555,7 @@ CacheModeSm::service_miss_fill(std::uint32_t s, Cycle start)
 void
 CacheModeSm::complete_task(Cycle when, std::uint32_t s, std::uint64_t version, bool hit)
 {
-    // The completion callback runs as an event at @p when so that the
+    // Each completion runs as an event at @p when so that the
     // controller's response-leg NoC reservation happens at event time.
     WarpSet &ws = sets_[s];
     Task &task = ws.queue.front();
@@ -569,16 +563,14 @@ CacheModeSm::complete_task(Cycle when, std::uint32_t s, std::uint64_t version, b
     // same per-request semantics as the conventional LLC; this keeps the
     // controller-side identity predicted_hits == hits + false positives.
     (hit ? hits_ : misses_) += 1 + task.merged.size();
-    if (task.done) {
-        ctx_.eq->schedule(when, [done = std::move(task.done), when, version, hit] {
-            done(when, version, hit);
+    const auto signal = [this, when, version, hit](const ExtDone &done) {
+        ctx_.eq->schedule(when, [sink = done.sink, id = done.id, hit, when, version] {
+            sink->ext_done(id, when, version, hit);
         });
-    }
-    for (auto &merged : task.merged) {
-        ctx_.eq->schedule(when, [done = std::move(merged), when, version, hit] {
-            done(when, version, hit);
-        });
-    }
+    };
+    signal(task.done);
+    for (const ExtDone &merged : task.merged)
+        signal(merged);
     finish_task(when, s);
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -219,8 +218,23 @@ class ExtSet
     std::uint64_t bypasses_ = 0;
 };
 
-/** Completion callback of an extended-LLC warp service. */
-using ExtDone = std::function<void(Cycle when, std::uint64_t version, bool hit)>;
+/** Receives the completion of each request an extended-LLC warp serves
+ *  (the Morpheus controller that forwarded it). */
+class ExtSink
+{
+  public:
+    virtual ~ExtSink() = default;
+
+    /** The warp finished serving request @p id at @p when. */
+    virtual void ext_done(ReqId id, Cycle when, std::uint64_t version, bool hit) = 0;
+};
+
+/** Where an extended-LLC request's completion goes: @p sink gets @p id. */
+struct ExtDone
+{
+    ReqId id = 0;
+    ExtSink *sink = nullptr;
+};
 
 /**
  * One GPU core in cache mode: hosts the extended LLC kernel with one warp
@@ -344,12 +358,13 @@ class CacheModeSm
     /** Miss continuation: the fetched block arrived at the SM. */
     void service_miss_fill(std::uint32_t s, Cycle start);
 
-    /** Fires the completion callback (as an event) and pops the task. */
+    /** Signals each requester's completion (as events) and pops the task. */
     void complete_task(Cycle when, std::uint32_t s, std::uint64_t version, bool hit);
 
-    /** DRAM round trip (NoC + channel) for a kernel-side miss; invokes
-     *  @p on_data with the block's arrival time at this SM. */
-    void dram_round_trip(Cycle when, LineAddr line, std::function<void(Cycle)> on_data);
+    /** DRAM round trip (NoC + channel) for the miss at the head of set
+     *  @p s, starting now; service_miss_fill(s, @p start) runs when the
+     *  block arrives at this SM. */
+    void dram_round_trip(std::uint32_t s, Cycle start);
     void writeback(Cycle when, LineAddr line, std::uint64_t version);
 
     /** Charges @p instrs to the issue port starting at @p when;

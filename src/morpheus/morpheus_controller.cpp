@@ -1,7 +1,6 @@
 #include "morpheus/morpheus_controller.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "gpu/gpu_config.hpp"
 #include "mem/backing_store.hpp"
@@ -117,17 +116,20 @@ MorpheusController::storage_bytes() const
 }
 
 void
-MorpheusController::handle(Cycle when, const MemRequest &req, RespFn resp)
+MorpheusController::handle(Cycle when, ReqId id)
 {
+    ReqPool::Record &rec = (*ctx_.reqs)[id];
+    const LineAddr line = rec.req.line;
     // Address separation (§4.1.1): conventional-space requests flow to the
     // conventional LLC untouched.
-    if (!ext_->is_extended(req.line)) {
-        conventional_->handle(when, req, std::move(resp));
+    if (!ext_->is_extended(line)) {
+        conventional_->handle(when, id);
         return;
     }
 
     ++ext_requests_;
-    const auto ref = ext_->set_of(req.line);
+    rec.arrived = when;
+    const auto ref = ext_->set_of(line);
 
     // Every extended access leaves the block resident, so the predictor
     // records it in the same step (keeping BF1's no-false-negative
@@ -137,36 +139,37 @@ MorpheusController::handle(Cycle when, const MemRequest &req, RespFn resp)
     bool predicted_hit = true;
     switch (mode_) {
       case PredictionMode::kNone:
-        ext_->predictor(ref.global_set).on_access(req.line);
+        ext_->predictor(ref.global_set).on_access(line);
         break;
       case PredictionMode::kBloom:
-        predicted_hit = ext_->predictor(ref.global_set).access_and_predict(req.line);
+        predicted_hit = ext_->predictor(ref.global_set).access_and_predict(line);
         break;
       case PredictionMode::kPerfect:
-        predicted_hit = ext_->sm(ref.sm_slot).contains(ref.local_set, req.line);
-        ext_->predictor(ref.global_set).on_access(req.line);
+        predicted_hit = ext_->sm(ref.sm_slot).contains(ref.local_set, line);
+        ext_->predictor(ref.global_set).on_access(line);
         break;
     }
 
     if (predicted_hit) {
         ++predicted_hits_;
-        forward_to_extended(when, req, ref, std::move(resp));
+        forward_to_extended(id, ref);
     } else {
         ++predicted_misses_;
-        serve_predicted_miss(when, req, ref, std::move(resp));
+        serve_predicted_miss(id, ref);
     }
 }
 
 void
-MorpheusController::serve_predicted_miss(Cycle when, const MemRequest &req,
-                                         const AddressSeparator::SetRef &ref, RespFn resp)
+MorpheusController::serve_predicted_miss(ReqId id, const AddressSeparator::SetRef &ref)
 {
     // Figure 5 bottom timeline: a correctly predicted miss skips the NoC
     // round trip and the software tag lookup entirely.
-    const Cycle fetched = conventional_->dram_fetch(when, req.line);
+    const ReqPool::Record &rec = (*ctx_.reqs)[id];
+    const Cycle fetched = conventional_->dram_fetch(rec.arrived, rec.req.line);
 
-    ctx_.eq->schedule(fetched, [this, when, req, ref, fetched,
-                                resp = std::move(resp)]() mutable {
+    ctx_.eq->schedule(fetched, [this, id, ref, fetched] {
+        const ReqPool::Record &r = (*ctx_.reqs)[id];
+        const MemRequest &req = r.req;
         std::uint64_t version = ctx_.store->read(req.line);
         bool dirty = false;
         if (req.type != AccessType::kRead) {
@@ -179,50 +182,51 @@ MorpheusController::serve_predicted_miss(Cycle when, const MemRequest &req,
         ext_->sm(ref.sm_slot).enqueue_insert(fetched, ref.local_set, req.line, version, dirty);
 
         // Critical path: respond immediately with the fetched data.
-        pred_miss_latency_.add(static_cast<double>(fetched - when));
-        respond(fetched, req, version, req.type != AccessType::kWrite, std::move(resp));
+        pred_miss_latency_.add(static_cast<double>(fetched - r.arrived));
+        respond(fetched, id, version, req.type != AccessType::kWrite);
     });
 }
 
 void
-MorpheusController::forward_to_extended(Cycle when, const MemRequest &req,
-                                        const AddressSeparator::SetRef &ref, RespFn resp)
+MorpheusController::forward_to_extended(ReqId id, const AddressSeparator::SetRef &ref)
 {
-    query_logic_.on_enqueue(when);
-    const std::uint32_t cache_sm = ext_->sm(ref.sm_slot).sm_id();
-
+    const ReqPool::Record &rec = (*ctx_.reqs)[id];
+    query_logic_.on_enqueue(rec.arrived);
     // The request waits in this controller's request queue; the
     // partition -> SM transfer happens when the warp de-queues it.
-    ext_->sm(ref.sm_slot).enqueue_request(
-        when, ref.local_set, req,
-        [this, when, req, cache_sm, resp = std::move(resp)](Cycle done, std::uint64_t version,
-                                                            bool hit) mutable {
-            query_logic_.on_complete(done);
-            if (!hit)
-                ++false_positives_;
-
-            // Response leg: cache-mode SM -> partition (reads carry data).
-            const std::uint32_t payload = req.type != AccessType::kWrite ? kLineBytes : 0;
-            ctx_.energy->add_noc_bytes(payload + ctx_.noc->params().header_bytes);
-            const Cycle at_part = ctx_.noc->sm_to_partition(done, cache_sm, partition_, payload);
-
-            response_leg_.add(static_cast<double>(at_part - done));
-            (hit ? ext_hit_latency_ : ext_miss_latency_)
-                .add(static_cast<double>(at_part - when));
-            respond(at_part, req, version, req.type != AccessType::kWrite, std::move(resp));
-        });
+    ext_->sm(ref.sm_slot).enqueue_request(rec.arrived, ref.local_set, rec.req,
+                                          ExtDone{id, this});
 }
 
 void
-MorpheusController::respond(Cycle when, const MemRequest &req, std::uint64_t version,
-                            bool carries_data, RespFn resp)
+MorpheusController::ext_done(ReqId id, Cycle done, std::uint64_t version, bool hit)
+{
+    query_logic_.on_complete(done);
+    if (!hit)
+        ++false_positives_;
+
+    // Response leg: cache-mode SM -> partition (reads carry data).
+    const ReqPool::Record &rec = (*ctx_.reqs)[id];
+    const bool carries_data = rec.req.type != AccessType::kWrite;
+    const std::uint32_t cache_sm = ext_->sm(ext_->set_of(rec.req.line).sm_slot).sm_id();
+    const std::uint32_t payload = carries_data ? kLineBytes : 0;
+    ctx_.energy->add_noc_bytes(payload + ctx_.noc->params().header_bytes);
+    const Cycle at_part = ctx_.noc->sm_to_partition(done, cache_sm, partition_, payload);
+
+    response_leg_.add(static_cast<double>(at_part - done));
+    (hit ? ext_hit_latency_ : ext_miss_latency_).add(static_cast<double>(at_part - rec.arrived));
+    respond(at_part, id, version, carries_data);
+}
+
+void
+MorpheusController::respond(Cycle when, ReqId id, std::uint64_t version, bool carries_data)
 {
     const std::uint32_t payload = carries_data ? kLineBytes : 0;
     ctx_.energy->add_noc_bytes(payload + ctx_.noc->params().header_bytes);
     const Cycle delivered =
-        ctx_.noc->partition_to_sm(when, partition_, req.requester_sm, payload);
-    ctx_.eq->schedule(delivered, [resp = std::move(resp), delivered, version] {
-        resp(delivered, version);
+        ctx_.noc->partition_to_sm(when, partition_, (*ctx_.reqs)[id].req.requester_sm, payload);
+    ctx_.eq->schedule(delivered, [this, id, delivered, version] {
+        ctx_.router->deliver(id, delivered, version);
     });
 }
 

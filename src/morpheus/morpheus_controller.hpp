@@ -98,14 +98,17 @@ class ExtendedLlc
  * the query logic unit, and serves predicted misses straight from DRAM
  * while inserting the fetched block off the critical path.
  */
-class MorpheusController
+class MorpheusController final : public ExtSink
 {
   public:
     MorpheusController(std::uint32_t partition, FabricContext ctx, LlcPartition *conventional,
                        ExtendedLlc *ext, PredictionMode mode);
 
     /** Entry point for every LLC request delivered to this partition. */
-    void handle(Cycle when, const MemRequest &req, RespFn resp);
+    void handle(Cycle when, ReqId id);
+
+    /** ExtSink: a cache-mode warp finished serving forwarded request @p id. */
+    void ext_done(ReqId id, Cycle done, std::uint64_t version, bool hit) override;
 
     const QueryLogic &query_logic() const { return query_logic_; }
 
@@ -126,16 +129,13 @@ class MorpheusController
 
   private:
     /** Predicted-miss fast path: DRAM direct + off-critical-path insert. */
-    void serve_predicted_miss(Cycle when, const MemRequest &req,
-                              const AddressSeparator::SetRef &ref, RespFn resp);
+    void serve_predicted_miss(ReqId id, const AddressSeparator::SetRef &ref);
 
     /** Predicted-hit path: forward to the owning cache-mode SM. */
-    void forward_to_extended(Cycle when, const MemRequest &req,
-                             const AddressSeparator::SetRef &ref, RespFn resp);
+    void forward_to_extended(ReqId id, const AddressSeparator::SetRef &ref);
 
     /** Final response leg: partition -> requesting SM. */
-    void respond(Cycle when, const MemRequest &req, std::uint64_t version, bool carries_data,
-                 RespFn resp);
+    void respond(Cycle when, ReqId id, std::uint64_t version, bool carries_data);
 
     std::uint32_t partition_;
     FabricContext ctx_;

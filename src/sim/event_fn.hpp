@@ -11,25 +11,28 @@ namespace morpheus {
 /**
  * A move-only `void()` callable with inline (small-buffer-only) storage.
  *
- * The event loop schedules millions of short-lived continuations per run;
- * wrapping each in a std::function heap-allocates whenever the capture
- * exceeds the 16-byte SSO budget — which every request-path lambda does
- * (they carry a MemRequest plus a response functor). EventFn instead
- * reserves kInlineBytes of in-place storage, enough for the largest
- * capture in the codebase, and *refuses to compile* anything bigger:
- * there is no heap fallback, so scheduling can never allocate behind the
- * simulator's back. Grow kInlineBytes deliberately if a new call site
- * trips the static_assert.
+ * The event loop schedules millions of short-lived continuations per run.
+ * EventFn reserves kInlineBytes of in-place storage, enough for the
+ * largest capture in the codebase, and *refuses to compile* anything
+ * bigger: there is no heap fallback, so scheduling can never allocate
+ * behind the simulator's back. The budget also sizes every event node
+ * (EventQueue pins a node at 64 bytes, one cache line), so a capture
+ * that trips the static_assert should be trimmed, not the budget grown:
+ * request-path events carry a 32-bit ReqId into the system's ReqPool,
+ * not the request or a completion closure.
  */
 class EventFn
 {
   public:
     /**
-     * Inline capture budget. The current high-water mark is
-     * MorpheusController::serve_predicted_miss (~96 bytes: MemRequest +
-     * SetRef + timestamps + a std::function response).
+     * Inline capture budget. The largest captures fill it exactly:
+     * MorpheusController::serve_predicted_miss (`this`, a ReqId, a
+     * SetRef and the fetch time), the response-delivery events of
+     * LlcPartition and MorpheusController (`this`, a ReqId, the delivery
+     * time and the version), the L1 hit completion, and CacheModeSm's
+     * completion signal (sink, ReqId, hit flag, time and version).
      */
-    static constexpr std::size_t kInlineBytes = 120;
+    static constexpr std::size_t kInlineBytes = 32;
 
     EventFn() noexcept = default;
 
@@ -66,9 +69,10 @@ class EventFn
         static_assert(std::is_invocable_r_v<void, D &>, "EventFn requires a void() callable");
         static_assert(sizeof(D) <= kInlineBytes,
                       "event capture exceeds EventFn::kInlineBytes — trim the capture "
-                      "or grow the inline budget (there is deliberately no heap fallback)");
-        static_assert(alignof(D) <= alignof(std::max_align_t),
-                      "over-aligned event captures are not supported");
+                      "(the budget sets the 64-byte event node; there is deliberately "
+                      "no heap fallback)");
+        static_assert(alignof(D) <= alignof(void *),
+                      "event captures aligned beyond a pointer are not supported");
         static_assert(std::is_nothrow_move_constructible_v<D>,
                       "event captures must be nothrow-movable (EventFn's move "
                       "operations relocate the capture with no copy or exception "
@@ -138,7 +142,7 @@ class EventFn
     }
 
     const Ops *ops_ = nullptr;
-    alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
+    alignas(void *) unsigned char buf_[kInlineBytes];
 };
 
 } // namespace morpheus

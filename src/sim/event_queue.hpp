@@ -125,6 +125,9 @@ class EventQueue
         Node *next = nullptr; ///< bucket FIFO / free-list link
         EventFn fn;
     };
+    // A node is 64 bytes, one cache line: a wider capture must fail to
+    // compile rather than grow every node.
+    static_assert(sizeof(Node) == 64, "EventQueue::Node must be 64 bytes");
 
     /** Spill-heap order: earliest (when, seq) on top. */
     struct SpillLater

@@ -15,6 +15,7 @@ namespace {
 struct CacheSmHarness
 {
     TestFabric fabric;
+    FakeExtSink sink;
     std::vector<std::unique_ptr<LlcPartition>> partitions;
     WorkloadParams wl_params;
     std::unique_ptr<SyntheticWorkload> workload;
@@ -46,12 +47,11 @@ struct CacheSmHarness
         Outcome out{};
         const Cycle start = fabric.eq.now();
         MemRequest req{line, type, 0, wversion};
-        sm->enqueue_request(start, set, req,
-                            [&](Cycle t, std::uint64_t v, bool hit) {
+        sm->enqueue_request(start, set, req, sink.done([&](Cycle t, std::uint64_t v, bool hit) {
                                 out.latency = t - start;
                                 out.version = v;
                                 out.hit = hit;
-                            });
+                            }));
         fabric.eq.run();
         return out;
     }
@@ -136,9 +136,9 @@ TEST(CacheModeSm, WarpServesOneRequestAtATime)
     MemRequest r1{1, AccessType::kRead, 0, 0};
     MemRequest r2{2, AccessType::kRead, 0, 0};
     h.sm->enqueue_request(start, 0, r1,
-                          [&](Cycle t, std::uint64_t, bool) { done_same_1 = t; });
+                          h.sink.done([&](Cycle t, std::uint64_t, bool) { done_same_1 = t; }));
     h.sm->enqueue_request(start, 0, r2,
-                          [&](Cycle t, std::uint64_t, bool) { done_same_2 = t; });
+                          h.sink.done([&](Cycle t, std::uint64_t, bool) { done_same_2 = t; }));
     h.fabric.eq.run();
     EXPECT_GT(done_same_2 - start, done_same_1 - start);
 }
@@ -151,7 +151,8 @@ TEST(CacheModeSm, SameLineReadsMergeInQueue)
     int done = 0;
     MemRequest req{9, AccessType::kRead, 0, 0};
     for (int i = 0; i < 4; ++i)
-        h.sm->enqueue_request(start, 0, req, [&](Cycle, std::uint64_t, bool) { ++done; });
+        h.sm->enqueue_request(start, 0, req,
+                              h.sink.done([&](Cycle, std::uint64_t, bool) { ++done; }));
     h.fabric.eq.run();
     EXPECT_EQ(done, 4);
     EXPECT_EQ(h.sm->merged_requests(), 3u);

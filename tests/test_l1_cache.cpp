@@ -12,7 +12,10 @@ struct L1Harness
 {
     TestFabric fabric;
     FakeRouter router{fabric, 200};
-    L1Cache l1{0, fabric.ctx(), &router, 8 * 1024, 4, 34, 8};
+    FakeL1Client client;
+    L1Cache l1{0, fabric.ctx(), &client, 8 * 1024, 4, 34, 8};
+
+    L1Harness() { router.attach(l1); }
 
     /** Issues a read and runs to completion; returns (latency, version). */
     std::pair<Cycle, std::uint64_t>
@@ -21,10 +24,10 @@ struct L1Harness
         Cycle done = 0;
         std::uint64_t ver = 0;
         const Cycle start = fabric.eq.now();
-        l1.access(start, AccessType::kRead, line, 0, [&](Cycle t, std::uint64_t v) {
-            done = t;
-            ver = v;
-        });
+        l1.access(start, AccessType::kRead, line, 0, client.token([&](Cycle t, std::uint64_t v) {
+                      done = t;
+                      ver = v;
+                  }));
         fabric.eq.run();
         return {done - start, ver};
     }
@@ -52,7 +55,8 @@ TEST(L1Cache, ConcurrentMissesMergeInMshr)
     L1Harness h;
     int done = 0;
     for (int i = 0; i < 4; ++i)
-        h.l1.access(0, AccessType::kRead, 9, 0, [&](Cycle, std::uint64_t) { ++done; });
+        h.l1.access(0, AccessType::kRead, 9, 0,
+                    h.client.token([&](Cycle, std::uint64_t) { ++done; }));
     h.fabric.eq.run();
     EXPECT_EQ(done, 4);
     EXPECT_EQ(h.router.requests, 1);
@@ -62,7 +66,8 @@ TEST(L1Cache, WriteIsWriteThrough)
 {
     L1Harness h;
     int acks = 0;
-    h.l1.access(0, AccessType::kWrite, 3, 77, [&](Cycle, std::uint64_t) { ++acks; });
+    h.l1.access(0, AccessType::kWrite, 3, 77,
+                h.client.token([&](Cycle, std::uint64_t) { ++acks; }));
     h.fabric.eq.run();
     EXPECT_EQ(acks, 1);
     EXPECT_EQ(h.fabric.store.read(3), 77u);   // reached the LLC side
@@ -78,7 +83,8 @@ TEST(L1Cache, WriteUpdatesPresentCopy)
     L1Harness h;
     h.fabric.store.write(4, 1);
     h.read(4);  // now resident
-    h.l1.access(h.fabric.eq.now(), AccessType::kWrite, 4, 9, [](Cycle, std::uint64_t) {});
+    h.l1.access(h.fabric.eq.now(), AccessType::kWrite, 4, 9,
+                h.client.token([](Cycle, std::uint64_t) {}));
     h.fabric.eq.run();
     auto [lat, v] = h.read(4);
     EXPECT_EQ(lat, 34u);  // still resident
@@ -92,7 +98,7 @@ TEST(L1Cache, AtomicBypassesAndInvalidates)
     h.read(6);  // resident
     std::uint64_t atomic_v = 0;
     h.l1.access(h.fabric.eq.now(), AccessType::kAtomic, 6, 8,
-                [&](Cycle, std::uint64_t v) { atomic_v = v; });
+                h.client.token([&](Cycle, std::uint64_t v) { atomic_v = v; }));
     h.fabric.eq.run();
     EXPECT_EQ(atomic_v, 8u);
     // The local copy was invalidated: next read refetches.
@@ -106,7 +112,8 @@ TEST(L1Cache, MshrOverflowParksAndReplaysRequests)
     L1Harness h;  // 8 MSHRs
     int done = 0;
     for (LineAddr l = 0; l < 20; ++l)
-        h.l1.access(0, AccessType::kRead, 100 + l, 0, [&](Cycle, std::uint64_t) { ++done; });
+        h.l1.access(0, AccessType::kRead, 100 + l, 0,
+                    h.client.token([&](Cycle, std::uint64_t) { ++done; }));
     h.fabric.eq.run();
     EXPECT_EQ(done, 20);
     EXPECT_EQ(h.router.requests, 20);

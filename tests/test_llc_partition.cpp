@@ -11,6 +11,7 @@ namespace {
 struct LlcHarness
 {
     TestFabric fabric;
+    FakeRouter router{fabric, 0};
     LlcPartition part{0, fabric.ctx(), 64, 8, 90, 4, 2};
 
     /** Sends one request and runs to completion. */
@@ -21,12 +22,11 @@ struct LlcHarness
         std::uint64_t ver = 0;
         const Cycle start = fabric.eq.now();
         MemRequest req{line, type, 0, wversion};
-        fabric.eq.schedule(start, [&, req] {
-            part.handle(fabric.eq.now(), req, [&](Cycle t, std::uint64_t v) {
-                done = t;
-                ver = v;
-            });
+        const ReqId id = router.probe(req, [&](Cycle t, std::uint64_t v) {
+            done = t;
+            ver = v;
         });
+        fabric.eq.schedule(start, [this, id] { part.handle(fabric.eq.now(), id); });
         fabric.eq.run();
         return {done - start, ver};
     }
@@ -81,7 +81,7 @@ TEST(LlcPartition, ConcurrentMissesMerge)
     MemRequest req{42, AccessType::kRead, 0, 0};
     h.fabric.eq.schedule(0, [&] {
         for (int i = 0; i < 5; ++i)
-            h.part.handle(0, req, [&](Cycle, std::uint64_t) { ++done; });
+            h.part.handle(0, h.router.probe(req, [&](Cycle, std::uint64_t) { ++done; }));
     });
     h.fabric.eq.run();
     EXPECT_EQ(done, 5);

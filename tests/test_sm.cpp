@@ -30,7 +30,8 @@ TEST(Sm, RunsWorkloadToCompletion)
     FakeRouter router(fabric, 100);
     SyntheticWorkload wl(tiny_params(4, 4, 200));
     wl.configure(1);
-    Sm sm(0, fabric.ctx(), &router, &wl);
+    Sm sm(0, fabric.ctx(), &wl);
+    router.attach(sm.l1());
     sm.start();
     fabric.eq.run();
     EXPECT_TRUE(sm.done());
@@ -46,7 +47,8 @@ TEST(Sm, IssueWidthBoundsIpc)
     // Pure-ALU heavy: IPC should approach (but never exceed) issue width.
     SyntheticWorkload wl(tiny_params(64, 8, 400));
     wl.configure(1);
-    Sm sm(0, fabric.ctx(), &router, &wl);
+    Sm sm(0, fabric.ctx(), &wl);
+    router.attach(sm.l1());
     sm.start();
     fabric.eq.run();
     const double ipc =
@@ -66,7 +68,8 @@ TEST(Sm, MemoryLatencyStallsLowOccupancy)
     p.shared_ws_bytes = 32 << 20;  // far beyond L1: every access misses
     SyntheticWorkload wl(p);
     wl.configure(1);
-    Sm sm(0, fabric.ctx(), &router, &wl);
+    Sm sm(0, fabric.ctx(), &wl);
+    router.attach(sm.l1());
     sm.start();
     fabric.eq.run();
     EXPECT_GE(fabric.eq.now(), 50u * 500u * 9 / 10);
@@ -81,7 +84,8 @@ TEST(Sm, MemCreditsOverlapLatency)
         FakeRouter router(fabric, 500);
         SyntheticWorkload wl(tiny_params(0, 1, 64));
         wl.configure(1);
-        Sm sm(0, fabric.ctx(), &router, &wl);
+        Sm sm(0, fabric.ctx(), &wl);
+        router.attach(sm.l1());
         sm.start();
         fabric.eq.run();
         return fabric.eq.now();
@@ -98,7 +102,8 @@ TEST(Sm, MoreWarpsHideLatency)
         FakeRouter router(fabric, 400);
         SyntheticWorkload wl(tiny_params(2, warps, 256));
         wl.configure(1);
-        Sm sm(0, fabric.ctx(), &router, &wl);
+        Sm sm(0, fabric.ctx(), &wl);
+        router.attach(sm.l1());
         sm.start();
         fabric.eq.run();
         return fabric.eq.now();
@@ -115,7 +120,8 @@ TEST(Sm, NonBlockingWritesDoNotStall)
     p.write_frac = 1.0;  // all stores
     SyntheticWorkload wl(p);
     wl.configure(1);
-    Sm sm(0, fabric.ctx(), &router, &wl);
+    Sm sm(0, fabric.ctx(), &wl);
+    router.attach(sm.l1());
     sm.start();
     fabric.eq.run();
     // Fire-and-forget stores: far faster than 64 x 800 cycles.
@@ -181,7 +187,8 @@ TEST(Sm, NoDuplicateIssueEventForWarpsLaunchedAtCycleZero)
     fabric.cfg.warp_mem_credits = 1;
     FakeRouter router(fabric, 0);
     TwoWarpWorkload wl;
-    Sm sm(index, fabric.ctx(), &router, &wl);
+    Sm sm(index, fabric.ctx(), &wl);
+    router.attach(sm.l1());
     sm.start();
     fabric.eq.run();
 
