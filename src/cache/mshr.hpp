@@ -122,6 +122,15 @@ class MshrTable
             drop_storage();
     }
 
+    /** Hint: prefetches @p line's home slot. Changes no state; a no-op
+     *  while the table holds no storage. */
+    void
+    prefetch(LineAddr line) const noexcept
+    {
+        if (!slots_.empty())
+            __builtin_prefetch(&slots_[mix64(line) & (slots_.size() - 1)]);
+    }
+
     std::size_t outstanding() const { return count_; }
 
     /** @name Statistics */

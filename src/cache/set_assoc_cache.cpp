@@ -73,6 +73,16 @@ SetAssocCache::set_index(LineAddr line) const
     return static_cast<std::uint32_t>(line % sets_);
 }
 
+void
+SetAssocCache::prefetch(LineAddr line) const noexcept
+{
+    const std::uint32_t set = set_index(line);
+    const std::uint64_t *block = block_of(set);
+    __builtin_prefetch(block);
+    __builtin_prefetch(block + kTags + ways_ - 1);
+    __builtin_prefetch(&versions_[base(set)]);
+}
+
 int
 SetAssocCache::find_way(const std::uint64_t *block, LineAddr line) const
 {

@@ -68,6 +68,13 @@ class SetAssocCache
     bool probe(LineAddr line) const;
 
     /**
+     * Hint: prefetches the host cache lines a lookup of @p line touches
+     * (the first and last word of its set's block, and the set's
+     * versions). Changes no state.
+     */
+    void prefetch(LineAddr line) const noexcept;
+
+    /**
      * Read lookup. On hit, updates replacement state and returns the
      * version. On miss, no state changes (fetch-on-fill).
      */

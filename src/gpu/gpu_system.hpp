@@ -177,6 +177,7 @@ class GpuSystem : public LlcRouter
     // LlcRouter
     void to_llc(Cycle when, ReqId id) override;
     void deliver(ReqId id, Cycle when, std::uint64_t version) override;
+    void prefetch_delivery(std::uint32_t sm, LineAddr line) const noexcept override;
 
     /**
      * Probe entry point (scenarios and tests): sends @p req into the
@@ -206,6 +207,8 @@ class GpuSystem : public LlcRouter
     ///@}
 
   private:
+    struct ArrivalEvent;
+
     RunResult collect();
 
     SystemSetup setup_;

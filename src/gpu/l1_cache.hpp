@@ -61,6 +61,15 @@ class L1Cache
     /** The response to request @p id (one this L1 sent) arrived at @p when. */
     void on_response(ReqId id, Cycle when, std::uint64_t version);
 
+    /** Hint: prefetches the tag set and MSHR slot a response for @p line
+     *  touches. Changes no state. */
+    void
+    prefetch(LineAddr line) const noexcept
+    {
+        cache_.prefetch(line);
+        mshrs_.prefetch(line);
+    }
+
     /** Grows the capacity (Unified-SM-Mem system: unused RF space). */
     void add_capacity(std::uint64_t extra_bytes);
 
@@ -73,6 +82,8 @@ class L1Cache
     ///@}
 
   private:
+    struct ForwardEvent;
+
     void start_read(Cycle when, LineAddr line, std::uint32_t token);
     void drain_replay(Cycle when);
 

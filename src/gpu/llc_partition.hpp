@@ -73,8 +73,17 @@ class LlcPartition
         ReqId id = 0;
     };
 
+    /** The request-path events; each prefetches the state it touches. */
+    struct LookupEvent;
+    struct FillEvent;
+    struct DeliveryEvent;
+
     /** Performs the lookup once a bank granted service. */
     void lookup(Cycle when, ReqId id);
+
+    /** @p line returned from DRAM at @p done: installs it and answers
+     *  the requests parked on its MSHR entry. */
+    void complete_fill(LineAddr line, Cycle done);
 
     /** Sends the response over the NoC and schedules its delivery. */
     void respond(Cycle when, ReqId id, std::uint64_t version, bool carries_data);

@@ -100,6 +100,18 @@ class ReqPool
         --in_flight_;
     }
 
+    /** Hint: prefetches record @p id. Changes no state; ignores an id
+     *  the pool never handed out. */
+    void
+    prefetch(ReqId id) const noexcept
+    {
+        if (id < records_.size()) {
+            const Record *rec = &records_[id];
+            __builtin_prefetch(rec);
+            __builtin_prefetch(reinterpret_cast<const unsigned char *>(rec + 1) - 1);
+        }
+    }
+
     Record &operator[](ReqId id) { return records_[id]; }
     const Record &operator[](ReqId id) const { return records_[id]; }
 
@@ -157,6 +169,16 @@ class LlcRouter
      * carrying data version @p version. Releases the record.
      */
     virtual void deliver(ReqId id, Cycle when, std::uint64_t version) = 0;
+
+    /**
+     * Hint: prefetches what delivering a response for @p line to SM
+     * @p sm will touch. Changes no state; the default does nothing.
+     */
+    virtual void prefetch_delivery(std::uint32_t sm, LineAddr line) const noexcept
+    {
+        (void)sm;
+        (void)line;
+    }
 };
 
 } // namespace morpheus

@@ -65,6 +65,15 @@ class BackingStore
         slots_[s].version = version;
     }
 
+    /** Hint: prefetches @p line's home slot. Changes no state; a no-op
+     *  while the store holds no storage. */
+    void
+    prefetch(LineAddr line) const noexcept
+    {
+        if (!slots_.empty())
+            __builtin_prefetch(&slots_[mix64(line) & (slots_.size() - 1)]);
+    }
+
     /** Allocates and returns the next globally unique version number. */
     std::uint64_t next_version() { return ++version_clock_; }
 

@@ -1,6 +1,7 @@
 #ifndef MORPHEUS_SIM_EVENT_FN_HPP_
 #define MORPHEUS_SIM_EVENT_FN_HPP_
 
+#include <concepts>
 #include <cstddef>
 #include <new>
 #include <type_traits>
@@ -9,7 +10,19 @@
 namespace morpheus {
 
 /**
- * A move-only `void()` callable with inline (small-buffer-only) storage.
+ * An event capture's optional look-ahead hook: `void prefetch() const
+ * noexcept`. EventQueue calls it on the next same-cycle event before it
+ * runs the current one, so the hook can prefetch the host cache lines its
+ * event is about to touch. A hook is a hint: it changes no state, never
+ * schedules or allocates, and never indexes out of range.
+ */
+template <typename D>
+concept PrefetchingCapture = requires(const D &d) {
+    { d.prefetch() } noexcept -> std::same_as<void>;
+};
+
+/**
+ * A `void()` callable with inline (small-buffer-only) storage.
  *
  * The event loop schedules millions of short-lived continuations per run.
  * EventFn reserves kInlineBytes of in-place storage, enough for the
@@ -20,6 +33,10 @@ namespace morpheus {
  * that trips the static_assert should be trimmed, not the budget grown:
  * request-path events carry a 32-bit ReqId into the system's ReqPool,
  * not the request or a completion closure.
+ *
+ * Captures must be trivially copyable and trivially destructible, so an
+ * EventFn is never moved or destroyed: dropping one only clears its
+ * operations pointer.
  */
 class EventFn
 {
@@ -28,39 +45,20 @@ class EventFn
      * Inline capture budget. The largest captures fill it exactly:
      * MorpheusController::serve_predicted_miss (`this`, a ReqId, a
      * SetRef and the fetch time), the response-delivery events of
-     * LlcPartition and MorpheusController (`this`, a ReqId, the delivery
-     * time and the version), the L1 hit completion, and CacheModeSm's
-     * completion signal (sink, ReqId, hit flag, time and version).
+     * LlcPartition (`this`, a ReqId, the requester SM, the line and the
+     * version) and MorpheusController (`this`, a ReqId, the delivery
+     * time and the version), LlcPartition's lookup (`this`, the arrival
+     * time, the line and a ReqId), the L1 hit completion, and
+     * CacheModeSm's completion signal (sink, ReqId, hit flag, time and
+     * version).
      */
     static constexpr std::size_t kInlineBytes = 32;
 
     EventFn() noexcept = default;
-
-    template <typename F, typename D = std::decay_t<F>,
-              typename = std::enable_if_t<!std::is_same_v<D, EventFn>>>
-    EventFn(F &&fn)
-    {
-        emplace(std::forward<F>(fn));
-    }
-
-    EventFn(EventFn &&other) noexcept { move_from(other); }
-
-    EventFn &
-    operator=(EventFn &&other) noexcept
-    {
-        if (this != &other) {
-            reset();
-            move_from(other);
-        }
-        return *this;
-    }
-
     EventFn(const EventFn &) = delete;
     EventFn &operator=(const EventFn &) = delete;
 
-    ~EventFn() { reset(); }
-
-    /** Destroys any held callable and constructs @p fn in place. */
+    /** Constructs @p fn in place, replacing any held callable. */
     template <typename F>
     void
     emplace(F &&fn)
@@ -73,36 +71,37 @@ class EventFn
                       "no heap fallback)");
         static_assert(alignof(D) <= alignof(void *),
                       "event captures aligned beyond a pointer are not supported");
-        static_assert(std::is_nothrow_move_constructible_v<D>,
-                      "event captures must be nothrow-movable (EventFn's move "
-                      "operations relocate the capture with no copy or exception "
-                      "fallback)");
-        reset();
+        static_assert(std::is_trivially_copyable_v<D> && std::is_trivially_destructible_v<D>,
+                      "event captures must be trivially copyable and destructible "
+                      "(capture ids and pointers, not owning objects)");
         ::new (static_cast<void *>(buf_)) D(std::forward<F>(fn));
         ops_ = &kOpsFor<D>;
     }
 
-    /** Destroys the held callable (no-op when empty). */
-    void
-    reset() noexcept
-    {
-        if (ops_ != nullptr) {
-            ops_->destroy(buf_);
-            ops_ = nullptr;
-        }
-    }
+    /** Drops the held callable (no-op when empty). */
+    void reset() noexcept { ops_ = nullptr; }
 
     explicit operator bool() const noexcept { return ops_ != nullptr; }
 
     /** Invokes the held callable. Precondition: non-empty. */
     void operator()() { ops_->invoke(buf_); }
 
+    /** True when the held capture has a prefetch hook. Precondition: non-empty. */
+    bool has_prefetch() const noexcept { return ops_->prefetch != nullptr; }
+
+    /** Runs the held capture's prefetch hook, if it has one. Precondition: non-empty. */
+    void
+    prefetch() const noexcept
+    {
+        if (ops_->prefetch != nullptr)
+            ops_->prefetch(buf_);
+    }
+
   private:
     struct Ops
     {
         void (*invoke)(void *);
-        void (*relocate)(void *from, void *to) noexcept;
-        void (*destroy)(void *) noexcept;
+        void (*prefetch)(const void *) noexcept;
     };
 
     template <typename D>
@@ -114,32 +113,23 @@ class EventFn
 
     template <typename D>
     static void
-    relocate_impl(void *from, void *to) noexcept
+    prefetch_impl(const void *p) noexcept
     {
-        D *f = static_cast<D *>(from);
-        ::new (to) D(std::move(*f));
-        f->~D();
+        static_cast<const D *>(p)->prefetch();
     }
 
     template <typename D>
-    static void
-    destroy_impl(void *p) noexcept
+    static constexpr Ops
+    ops_for()
     {
-        static_cast<D *>(p)->~D();
+        if constexpr (PrefetchingCapture<D>)
+            return Ops{&invoke_impl<D>, &prefetch_impl<D>};
+        else
+            return Ops{&invoke_impl<D>, nullptr};
     }
 
     template <typename D>
-    static constexpr Ops kOpsFor{&invoke_impl<D>, &relocate_impl<D>, &destroy_impl<D>};
-
-    void
-    move_from(EventFn &other) noexcept
-    {
-        if (other.ops_ != nullptr) {
-            other.ops_->relocate(other.buf_, buf_);
-            ops_ = other.ops_;
-            other.ops_ = nullptr;
-        }
-    }
+    static constexpr Ops kOpsFor = ops_for<D>();
 
     const Ops *ops_ = nullptr;
     alignas(void *) unsigned char buf_[kInlineBytes];

@@ -140,6 +140,14 @@ EventQueue::step_bounded(Cycle limit)
 
     Node *n = pop_bucket_front(t);
     ++executed_;
+    // Look one event ahead: the next same-cycle node is loaded anyway, so
+    // prefetch the node after it and let its successor's capture prefetch
+    // the state it will touch, overlapping those host misses with this
+    // event. The hooks are hints and change no state.
+    if (Node *m = n->next) {
+        __builtin_prefetch(m->next);
+        m->fn.prefetch();
+    }
     // The node is already unlinked and slab storage never moves, so the
     // callback may freely schedule more events (even growing the slab)
     // while it runs in place.

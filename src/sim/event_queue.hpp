@@ -49,6 +49,13 @@ namespace morpheus {
  * owned (mutable) storage — popping moves nothing and needs no
  * const_cast, unlike the previous std::priority_queue implementation
  * whose top() could only be moved from by casting away const.
+ *
+ * Popping an event looks one event ahead: before the popped callback
+ * runs, the next node in the same bucket (if any) has its capture's
+ * prefetch hook called (see PrefetchingCapture) and its successor node
+ * prefetched, so same-cycle events overlap their host cache misses. Hooks
+ * are hints and change no state, so event order and results are
+ * unaffected.
  */
 class EventQueue
 {

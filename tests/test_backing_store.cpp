@@ -114,3 +114,23 @@ TEST(BackingStore, MatchesMapOracleAcrossDoublings)
         EXPECT_EQ(store.read(line), it == oracle.end() ? 0 : it->second) << "line " << line;
     }
 }
+
+TEST(BackingStore, PrefetchHintsChangeNothing)
+{
+    // A fresh store holds no storage: every hint is a no-op.
+    BackingStore store;
+    for (LineAddr line : {LineAddr{0}, LineAddr{1}, BackingStore::kVacantLine})
+        store.prefetch(line);
+    EXPECT_EQ(store.writes(), 0u);
+    EXPECT_EQ(store.read(0), 0u);
+    EXPECT_EQ(store.read(BackingStore::kVacantLine), 0u);
+
+    store.write(5, 9);
+    for (LineAddr line = 0; line < 4096; ++line)
+        store.prefetch(line);
+    store.prefetch(BackingStore::kVacantLine);
+    EXPECT_EQ(store.writes(), 1u);
+    EXPECT_EQ(store.read(5), 9u);
+    EXPECT_EQ(store.read(6), 0u);
+    EXPECT_EQ(store.next_version(), 1u);
+}

@@ -82,9 +82,9 @@ TEST(EventQueue, EventsMayScheduleMoreEvents)
     std::function<void()> chain = [&] {
         ++fired;
         if (fired < 10)
-            eq.schedule_in(7, chain);
+            eq.schedule_in(7, [&chain] { chain(); });
     };
-    eq.schedule(0, chain);
+    eq.schedule(0, [&chain] { chain(); });
     eq.run();
     EXPECT_EQ(fired, 10);
     EXPECT_EQ(eq.now(), 63u);
@@ -378,10 +378,10 @@ TEST(EventQueueReentrancy, SelfReschedulingEventKeepsItsCaptureIntact)
             // Same-cycle neighbours land in the same bucket while the
             // self-reschedule appends behind them.
             eq.schedule_in(0, [&checks] { ++checks; });
-            eq.schedule_in(hops % 3, self);
+            eq.schedule_in(hops % 3, [&self] { self(); });
         }
     };
-    eq.schedule(0, self);
+    eq.schedule(0, [&self] { self(); });
     eq.run();
     EXPECT_EQ(checks, 200u + 199u);
 }
@@ -419,4 +419,95 @@ TEST(EventQueueCaptures, NearLimitCapturesWork)
     for (std::size_t i = 0; i < blob.size(); ++i)
         want += static_cast<std::uint8_t>(i * 7 + 1);
     EXPECT_EQ(sum, want);
+}
+
+// ---------------------------------------------------------------------------
+// Look-ahead prefetch hooks: before running an event, the queue calls the
+// hook of the next event in the same cycle's bucket.
+
+namespace {
+
+/** A capture with a hook that logs `-name` for the hook, `name` for the run. */
+struct HookedEvent
+{
+    std::vector<int> *log;
+    int name;
+
+    void operator()() const { log->push_back(name); }
+    void prefetch() const noexcept { log->push_back(-name); }
+};
+
+} // namespace
+
+TEST(EventQueueHooks, NextSameCycleEventsHookRunsBeforeTheCurrentEvent)
+{
+    EventQueue eq;
+    std::vector<int> log;
+    eq.schedule(5, HookedEvent{&log, 1});
+    eq.schedule(5, HookedEvent{&log, 2});
+    eq.schedule(5, HookedEvent{&log, 3});
+    eq.run();
+    // [hook B, A, hook C, B, C]: the first event of the cycle gets no hook.
+    EXPECT_EQ(log, (std::vector<int>{-2, 1, -3, 2, 3}));
+    EXPECT_EQ(eq.executed(), 3u);
+}
+
+TEST(EventQueueHooks, FirstEventOfEachCycleGetsNoHookCall)
+{
+    EventQueue eq;
+    std::vector<int> log;
+    eq.schedule(1, HookedEvent{&log, 1});
+    eq.schedule(2, HookedEvent{&log, 2});
+    eq.schedule(2, HookedEvent{&log, 3});
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{1, -3, 2, 3}));
+}
+
+TEST(EventQueueHooks, NoHookRunsForAnEventInALaterBucket)
+{
+    EventQueue eq;
+    std::vector<int> log;
+    eq.schedule(10, HookedEvent{&log, 1});
+    eq.schedule(11, HookedEvent{&log, 2});
+    // Past the ring window: the spill heap, refilled into a later bucket.
+    eq.schedule(10 + EventQueue::kRingCycles, HookedEvent{&log, 3});
+    eq.run_until(10);
+    EXPECT_EQ(log, (std::vector<int>{1}));
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueueHooks, EventScheduledIntoTheRunningCycleGetsNoHookFromItsParent)
+{
+    // The hook is taken when the current event pops; an event appended to
+    // the bucket by the running callback is hooked only by a later pop.
+    EventQueue eq;
+    std::vector<int> log;
+    eq.schedule(4, [&] {
+        log.push_back(1);
+        eq.schedule(4, HookedEvent{&log, 2});
+        eq.schedule(4, HookedEvent{&log, 3});
+    });
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{1, -3, 2, 3}));
+}
+
+TEST(EventQueueHooks, HooklessCaptureHasNoPrefetchEntry)
+{
+    std::vector<int> log;
+    EventFn plain;
+    plain.emplace([&log] { log.push_back(7); });
+    EXPECT_FALSE(plain.has_prefetch());
+    plain.prefetch(); // a no-op without a hook
+    EXPECT_TRUE(log.empty());
+    plain();
+    EXPECT_EQ(log, (std::vector<int>{7}));
+
+    EventFn hooked;
+    hooked.emplace(HookedEvent{&log, 8});
+    EXPECT_TRUE(hooked.has_prefetch());
+    hooked.prefetch();
+    EXPECT_EQ(log, (std::vector<int>{7, -8}));
+    hooked.reset();
+    EXPECT_FALSE(static_cast<bool>(hooked));
 }

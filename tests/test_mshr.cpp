@@ -230,3 +230,38 @@ TEST(MshrOracle, WaiterMayAllocateOnSameTableDuringRelease)
     EXPECT_EQ(release_ints(mshrs, 7).size(), 8u);
     EXPECT_EQ(mshrs.outstanding(), 2u);
 }
+
+TEST(Mshr, PrefetchHintsChangeNothing)
+{
+    // A never-used table holds no storage: every hint is a no-op.
+    MshrTable<int> mshrs(4);
+    for (LineAddr line : {LineAddr{0}, LineAddr{1}, ~LineAddr{0}})
+        mshrs.prefetch(line);
+    EXPECT_EQ(mshrs.outstanding(), 0u);
+    EXPECT_FALSE(mshrs.has(0));
+    EXPECT_EQ(mshrs.allocated(), 0u);
+
+    // In use, hints leave entries, waiters and counters alone.
+    EXPECT_TRUE(mshrs.allocate_or_merge(10, 1));
+    EXPECT_FALSE(mshrs.allocate_or_merge(10, 2));
+    EXPECT_TRUE(mshrs.allocate_or_merge(11, 3));
+    for (LineAddr line = 0; line < 64; ++line)
+        mshrs.prefetch(line);
+    mshrs.prefetch(~LineAddr{0});
+    EXPECT_EQ(mshrs.outstanding(), 2u);
+    EXPECT_EQ(mshrs.allocated(), 2u);
+    EXPECT_EQ(mshrs.merged(), 1u);
+    EXPECT_EQ(mshrs.peak_occupancy(), 2u);
+    EXPECT_EQ(release_ints(mshrs, 10), (std::vector<int>{1, 2}));
+
+    // Drained: the last release dropped the storage, so hints are no-ops
+    // again and the table still works afterwards.
+    EXPECT_EQ(release_ints(mshrs, 11), (std::vector<int>{3}));
+    mshrs.prefetch(10);
+    mshrs.prefetch(~LineAddr{0});
+    EXPECT_EQ(mshrs.outstanding(), 0u);
+    EXPECT_FALSE(mshrs.has(10));
+    EXPECT_TRUE(mshrs.allocate_or_merge(10, 4));
+    EXPECT_EQ(release_ints(mshrs, 10), (std::vector<int>{4}));
+    EXPECT_EQ(mshrs.allocated(), 3u);
+}

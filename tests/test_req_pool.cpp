@@ -42,6 +42,46 @@ TEST(ReqPool, RecyclesReleasedIds)
     EXPECT_EQ(pool.in_flight(), 0u);
 }
 
+TEST(ReqPool, PrefetchHintsChangeNothing)
+{
+    ReqPool pool;
+    pool.prefetch(0); // nothing handed out yet
+    EXPECT_EQ(pool.in_flight(), 0u);
+
+    const ReqId a = pool.acquire(MemRequest{1, AccessType::kRead, 0, 0}, 7);
+    const ReqId last = pool.acquire(MemRequest{2, AccessType::kWrite, 3, 9}, 8);
+    pool.prefetch(last);     // the last id
+    pool.prefetch(last + 1); // one past it: ignored
+    pool.prefetch(~ReqId{0});
+    EXPECT_EQ(pool.in_flight(), 2u);
+    EXPECT_EQ(pool[last].req.line, 2u);
+    EXPECT_EQ(pool[last].req.write_version, 9u);
+    EXPECT_EQ(pool[last].token, 8u);
+    pool.release(a);
+    pool.prefetch(a); // a free record
+    EXPECT_EQ(pool.acquire(MemRequest{4, AccessType::kRead, 1, 0}, 2), a);
+}
+
+TEST(ReqPool, RouterAndWorkloadHintsIgnoreOutOfRangeIndices)
+{
+    AppSpec spec = *find_app("p-bfs");
+    spec.params.total_mem_instrs = 2'000;
+    SyntheticWorkload wl(spec.params);
+    wl.prefetch_step(0, 0); // before configure(): no warps yet
+    GpuSystem sys(make_system(SystemKind::kBL, spec), wl);
+    sys.begin_run();
+    sys.prefetch_delivery(0, 42);
+    sys.prefetch_delivery(sys.num_compute_sms(), 42);
+    sys.prefetch_delivery(~std::uint32_t{0}, 42);
+    wl.prefetch_step(sys.num_compute_sms(), 0);
+    wl.prefetch_step(~std::uint32_t{0}, ~std::uint32_t{0});
+    sys.sm(0).l1().prefetch(~LineAddr{0});
+    EXPECT_EQ(sys.requests().in_flight(), 0u);
+    sys.advance_to(sys.setup().cfg.max_cycles);
+    EXPECT_EQ(sys.requests().in_flight(), 0u);
+    EXPECT_TRUE(sys.event_queue().empty());
+}
+
 namespace {
 
 /** A catalog app cut down to a few thousand memory instructions. */

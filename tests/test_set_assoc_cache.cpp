@@ -385,9 +385,11 @@ namespace {
  * Drives @p cache through a fixed mix of reads, writes, clean and dirty
  * fills, invalidates and one mid-run flush over a footprint three times
  * its capacity, folding every observable outcome into the returned hash.
+ * With @p hint, every op is preceded by prefetch() hints on its line and
+ * on lines far outside the footprint, which must change nothing.
  */
 std::uint64_t
-run_fixed_ops(SetAssocCache &cache, std::uint64_t seed)
+run_fixed_ops(SetAssocCache &cache, std::uint64_t seed, bool hint = false)
 {
     const std::uint64_t footprint = 3 * static_cast<std::uint64_t>(cache.sets()) * cache.ways();
     Rng rng(seed);
@@ -397,6 +399,11 @@ run_fixed_ops(SetAssocCache &cache, std::uint64_t seed)
     for (int i = 0; i < kOps; ++i) {
         const LineAddr line = rng.next_below(footprint);
         const std::uint64_t version = static_cast<std::uint64_t>(i) + 1;
+        if (hint) {
+            cache.prefetch(line);
+            cache.prefetch(~line);
+            cache.prefetch(line * 0x9e3779b97f4a7c15ULL);
+        }
         switch (rng.next_below(8)) {
           case 0:
           case 1:
@@ -448,4 +455,31 @@ TEST(SetAssocCache, OpOutcomesArePinned)
     SetAssocCache llc(256, 16, true); // one LLC partition
     EXPECT_EQ(run_fixed_ops(l1, 1), 0xd2604ab48811357cULL);
     EXPECT_EQ(run_fixed_ops(llc, 2), 0xf1e5d05ef1271310ULL);
+}
+
+TEST(SetAssocCache, PrefetchHintsChangeNoOutcome)
+{
+    SetAssocCache l1(128, 8, false);
+    SetAssocCache llc(256, 16, true);
+    EXPECT_EQ(run_fixed_ops(l1, 1, true), 0xd2604ab48811357cULL);
+    EXPECT_EQ(run_fixed_ops(llc, 2, true), 0xf1e5d05ef1271310ULL);
+
+    // A hashed cache whose set count is not a power of two: the hint's
+    // set index must stay in range (checked under the sanitizer build).
+    SetAssocCache plain(100, 16, true);
+    SetAssocCache hinted(100, 16, true);
+    hinted.prefetch(0);
+    hinted.prefetch(~LineAddr{0});
+    EXPECT_EQ(run_fixed_ops(hinted, 3, true), run_fixed_ops(plain, 3));
+    EXPECT_EQ(hinted.hits(), plain.hits());
+    EXPECT_EQ(hinted.misses(), plain.misses());
+    EXPECT_EQ(hinted.fills(), plain.fills());
+    EXPECT_EQ(hinted.evictions(), plain.evictions());
+    EXPECT_EQ(hinted.writebacks(), plain.writebacks());
+
+    SetAssocCache odd_l1(37, 3, false);
+    for (LineAddr line : {LineAddr{0}, LineAddr{36}, LineAddr{37}, ~LineAddr{0}})
+        odd_l1.prefetch(line);
+    EXPECT_EQ(odd_l1.hits() + odd_l1.misses() + odd_l1.fills(), 0u);
+    EXPECT_FALSE(odd_l1.probe(36));
 }
