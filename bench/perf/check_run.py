@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Gate one perfbench run on its correctness and on unchanged results.
 
-Usage: check_run.py WORKLOAD STDOUT_FILE [HISTORY]
+Usage: check_run.py WORKLOAD STDOUT_FILE
 
 STDOUT_FILE holds the full stdout of
 `python3 perfbench/run.py --workload WORKLOAD --seed 1 ...`. The run
 passes when its last line reports `"correct": true` and `"failed": 0`,
 and its `sim_digest` line equals the digest of the newest record in
-HISTORY (default: bench/perf/history.jsonl next to this script) that
-measured WORKLOAD at seed 1. A change that moves simulated results then
-fails here; a reviewed model fix appends a history record with the new
-digest in the same change.
+history.jsonl (next to this script) that measured WORKLOAD at seed 1.
+A change that moves simulated results then fails here; a reviewed model
+fix appends a history record with the new digest in the same change.
 """
 
 import json
@@ -30,12 +29,11 @@ def newest_digest(history, workload):
 
 
 def main(argv):
-    if len(argv) not in (3, 4):
+    if len(argv) != 3:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     workload, out_path = argv[1], pathlib.Path(argv[2])
-    history = pathlib.Path(argv[3]) if len(argv) == 4 else (
-        pathlib.Path(__file__).resolve().parent / "history.jsonl")
+    history = pathlib.Path(__file__).resolve().parent / "history.jsonl"
 
     lines = out_path.read_text().splitlines()
     if not lines:

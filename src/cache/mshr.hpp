@@ -128,7 +128,7 @@ class MshrTable
     prefetch(LineAddr line) const noexcept
     {
         if (!slots_.empty())
-            __builtin_prefetch(&slots_[mix64(line) & (slots_.size() - 1)]);
+            __builtin_prefetch(&slots_[home(line)]);
     }
 
     std::size_t outstanding() const { return count_; }
@@ -158,13 +158,17 @@ class MshrTable
         std::uint32_t next;
     };
 
+    /** The first slot of @p line's probe chain. @pre the slot array is
+     *  allocated. */
+    std::size_t home(LineAddr line) const { return mix64(line) & (slots_.size() - 1); }
+
     /** The slot holding @p line, or the empty slot ending its probe
      *  chain. @pre the slot array is allocated (it is never full). */
     std::size_t
     probe(LineAddr line) const
     {
         const std::size_t mask = slots_.size() - 1;
-        std::size_t s = mix64(line) & mask;
+        std::size_t s = home(line);
         while (slots_[s].head != kNone && slots_[s].line != line)
             s = (s + 1) & mask;
         return s;
@@ -178,8 +182,8 @@ class MshrTable
         const std::size_t mask = slots_.size() - 1;
         for (std::size_t j = (s + 1) & mask; slots_[j].head != kNone; j = (j + 1) & mask) {
             // Move j into the hole unless its home lies cyclically in (s, j].
-            const std::size_t home = mix64(slots_[j].line) & mask;
-            if (((j - home) & mask) >= ((j - s) & mask)) {
+            const std::size_t h = home(slots_[j].line);
+            if (((j - h) & mask) >= ((j - s) & mask)) {
                 slots_[s] = slots_[j];
                 s = j;
             }

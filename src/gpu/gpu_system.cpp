@@ -82,25 +82,6 @@ GpuSystem::controller(std::uint32_t p)
     return controllers_.empty() ? nullptr : controllers_[p].get();
 }
 
-/** Request @p id reaches partition @p p (or its Morpheus controller). */
-struct GpuSystem::ArrivalEvent
-{
-    GpuSystem *sys;
-    std::uint32_t p;
-    ReqId id;
-    Cycle arrival;
-
-    void
-    operator()() const
-    {
-        if (!sys->controllers_.empty())
-            sys->controllers_[p]->handle(arrival, id);
-        else
-            sys->partitions_[p]->handle(arrival, id);
-    }
-    void prefetch() const noexcept { sys->reqs_.prefetch(id); }
-};
-
 void
 GpuSystem::to_llc(Cycle when, ReqId id)
 {
@@ -110,7 +91,12 @@ GpuSystem::to_llc(Cycle when, ReqId id)
     energy_.add_noc_bytes(payload + noc_.params().header_bytes);
     const Cycle arrival = noc_.sm_to_partition(when, req.requester_sm, p, payload);
 
-    eq_.schedule(arrival, ArrivalEvent{this, p, id, arrival});
+    eq_.schedule(arrival, [this, p, id, arrival] {
+        if (!controllers_.empty())
+            controllers_[p]->handle(arrival, id);
+        else
+            partitions_[p]->handle(arrival, id);
+    });
 }
 
 void

@@ -207,8 +207,6 @@ class GpuSystem : public LlcRouter
     ///@}
 
   private:
-    struct ArrivalEvent;
-
     RunResult collect();
 
     SystemSetup setup_;

@@ -107,22 +107,13 @@ L1Cache::complete_at(Cycle when, std::uint32_t token, std::uint64_t version)
     ctx_.eq->schedule(when, [this, token, when, version] { done(token, when, version); });
 }
 
-/** A request's NoC departure: hands request @p id to the router. */
-struct L1Cache::ForwardEvent
-{
-    L1Cache *l1;
-    ReqId id;
-
-    void operator()() const { l1->ctx_.router->to_llc(l1->ctx_.eq->now(), id); }
-    void prefetch() const noexcept { l1->ctx_.reqs->prefetch(id); }
-};
-
 void
 L1Cache::forward(Cycle when, const MemRequest &req, std::uint32_t token)
 {
     // Departure happens as an event at @p when so the NoC sees monotonic
     // reservation times.
-    ctx_.eq->schedule(when, ForwardEvent{this, ctx_.reqs->acquire(req, token)});
+    const ReqId id = ctx_.reqs->acquire(req, token);
+    ctx_.eq->schedule(when, [this, id] { ctx_.router->to_llc(ctx_.eq->now(), id); });
 }
 
 void

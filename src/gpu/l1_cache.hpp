@@ -82,8 +82,6 @@ class L1Cache
     ///@}
 
   private:
-    struct ForwardEvent;
-
     void start_read(Cycle when, LineAddr line, std::uint32_t token);
     void drain_replay(Cycle when);
 

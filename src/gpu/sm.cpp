@@ -32,20 +32,6 @@ Sm::start()
         schedule_issue(now);
 }
 
-/** The SM's issue event; its hook prefetches the top ready warp's step state. */
-struct Sm::IssueEvent
-{
-    Sm *sm;
-
-    void operator()() const { sm->issue(); }
-    void
-    prefetch() const noexcept
-    {
-        if (!sm->ready_.empty())
-            sm->workload_->prefetch_step(sm->index_, sm->ready_.top().warp);
-    }
-};
-
 void
 Sm::schedule_issue(Cycle when)
 {
@@ -57,7 +43,7 @@ Sm::schedule_issue(Cycle when)
     issue_pending_ = true;
     issue_event_at_ = when;
     ++issue_events_;
-    ctx_.eq->schedule(when, IssueEvent{this});
+    ctx_.eq->schedule(when, [this] { issue(); });
 }
 
 void

@@ -65,8 +65,6 @@ class Sm final : public L1Client
         }
     };
 
-    struct IssueEvent;
-
     void schedule_issue(Cycle when);
     void issue();
     void complete_mem(std::uint32_t warp, Cycle when);

@@ -82,16 +82,6 @@ class Workload
     virtual bool next_step(std::uint32_t sm, std::uint32_t warp, WarpStep &out) = 0;
 
     /**
-     * Hint: prefetches the state next_step(@p sm, @p warp) will read.
-     * Changes no state; the default does nothing.
-     */
-    virtual void prefetch_step(std::uint32_t sm, std::uint32_t warp) const noexcept
-    {
-        (void)sm;
-        (void)warp;
-    }
-
-    /**
      * Synthesizes the byte contents of @p line, used by the extended-LLC
      * kernel's BDI compressor. Deterministic per line.
      */

@@ -71,7 +71,7 @@ class BackingStore
     prefetch(LineAddr line) const noexcept
     {
         if (!slots_.empty())
-            __builtin_prefetch(&slots_[mix64(line) & (slots_.size() - 1)]);
+            __builtin_prefetch(&slots_[home(line)]);
     }
 
     /** Allocates and returns the next globally unique version number. */
@@ -88,13 +88,17 @@ class BackingStore
         std::uint64_t version = 0;
     };
 
+    /** The first slot of @p line's probe chain. @pre the slot array is
+     *  allocated. */
+    std::size_t home(LineAddr line) const { return mix64(line) & (slots_.size() - 1); }
+
     /** The slot holding @p line, or the empty slot ending its probe
      *  chain. @pre the slot array is allocated (it is never full). */
     std::size_t
     probe(LineAddr line) const
     {
         const std::size_t mask = slots_.size() - 1;
-        std::size_t s = mix64(line) & mask;
+        std::size_t s = home(line);
         while (slots_[s].line != line && slots_[s].line != kVacantLine)
             s = (s + 1) & mask;
         return s;

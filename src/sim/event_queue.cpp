@@ -140,10 +140,10 @@ EventQueue::step_bounded(Cycle limit)
 
     Node *n = pop_bucket_front(t);
     ++executed_;
-    // Look one event ahead: the next same-cycle node is loaded anyway, so
-    // prefetch the node after it and let its successor's capture prefetch
-    // the state it will touch, overlapping those host misses with this
-    // event. The hooks are hints and change no state.
+    // Look one event ahead: prefetch the node after the next same-cycle
+    // one, and call the next event's hook so it prefetches the state it
+    // will touch, overlapping those host misses with this event. Hooks
+    // are hints and change no state.
     if (Node *m = n->next) {
         __builtin_prefetch(m->next);
         m->fn.prefetch();

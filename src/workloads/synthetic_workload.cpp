@@ -87,17 +87,6 @@ SyntheticWorkload::warps_on(std::uint32_t sm) const
     return params_.warps_per_sm;
 }
 
-void
-SyntheticWorkload::prefetch_step(std::uint32_t sm, std::uint32_t warp) const noexcept
-{
-    const std::uint64_t g = static_cast<std::uint64_t>(sm) * params_.warps_per_sm + warp;
-    if (g < warps_.size()) {
-        const WarpCtx *ctx = &warps_[g];
-        __builtin_prefetch(ctx);
-        __builtin_prefetch(reinterpret_cast<const unsigned char *>(ctx + 1) - 1);
-    }
-}
-
 bool
 SyntheticWorkload::next_step(std::uint32_t sm, std::uint32_t warp, WarpStep &out)
 {

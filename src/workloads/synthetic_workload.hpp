@@ -82,7 +82,6 @@ class SyntheticWorkload final : public Workload
     void configure(std::uint32_t num_sms) override;
     std::uint32_t warps_on(std::uint32_t sm) const override;
     bool next_step(std::uint32_t sm, std::uint32_t warp, WarpStep &out) override;
-    void prefetch_step(std::uint32_t sm, std::uint32_t warp) const noexcept override;
     Block synthesize_block(LineAddr line) const override;
 
     const WorkloadParams &params() const { return params_; }

@@ -62,19 +62,16 @@ TEST(ReqPool, PrefetchHintsChangeNothing)
     EXPECT_EQ(pool.acquire(MemRequest{4, AccessType::kRead, 1, 0}, 2), a);
 }
 
-TEST(ReqPool, RouterAndWorkloadHintsIgnoreOutOfRangeIndices)
+TEST(ReqPool, RouterAndL1HintsIgnoreOutOfRangeIndices)
 {
     AppSpec spec = *find_app("p-bfs");
     spec.params.total_mem_instrs = 2'000;
     SyntheticWorkload wl(spec.params);
-    wl.prefetch_step(0, 0); // before configure(): no warps yet
     GpuSystem sys(make_system(SystemKind::kBL, spec), wl);
     sys.begin_run();
     sys.prefetch_delivery(0, 42);
     sys.prefetch_delivery(sys.num_compute_sms(), 42);
     sys.prefetch_delivery(~std::uint32_t{0}, 42);
-    wl.prefetch_step(sys.num_compute_sms(), 0);
-    wl.prefetch_step(~std::uint32_t{0}, ~std::uint32_t{0});
     sys.sm(0).l1().prefetch(~LineAddr{0});
     EXPECT_EQ(sys.requests().in_flight(), 0u);
     sys.advance_to(sys.setup().cfg.max_cycles);
