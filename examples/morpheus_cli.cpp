@@ -6,10 +6,9 @@
  * Usage:
  *   morpheus_cli <app> [system] [compute_sms] [cache_sms]
  *   morpheus_cli --list
- *   morpheus_cli --scenario <name> [--jobs N] [--format text|csv|json]
- *                [--trace FILE] [--output FILE] [--cache-dir DIR]
- *   morpheus_cli --all [--jobs N] [--format text|csv|json]
- *                [--output-dir DIR]
+ *   morpheus_cli --scenario <name> [--jobs N] [--output FILE]
+ *                [--cache-dir DIR]
+ *   morpheus_cli --all [--jobs N] [--output-dir DIR] [--cache-dir DIR]
  *
  *   app     one of the 17 Table 2 names (p-bfs, cfd, ..., mri-q)
  *   system  BL | IBL | IBL4X | FREQ | UNIFIED | BASIC | COMPR | MOV |
@@ -23,8 +22,7 @@
  * --output persists the run's metrics as a BENCH_<scenario>.json report
  * (docs/REPORT_SCHEMA.md); --all runs every scenario, writing one report
  * per scenario into --output-dir (the regression-gate input for
- * morpheus_bench_diff). --trace points the trace_replay scenario at a
- * specific .mtrc file (docs/TRACE_FORMAT.md; default: bench/traces/).
+ * morpheus_bench_diff).
  * --cache-dir DIR memoizes completed runs in a content-addressed on-disk
  * store so reruns are served byte-identically from cache
  * (docs/CACHE_FORMAT.md) and reports its hits and simulations on stderr;
@@ -175,10 +173,9 @@ usage()
                  "usage: morpheus_cli <app> [BL|IBL|IBL4X|FREQ|UNIFIED|BASIC|COMPR|MOV|ALL|"
                  "LARGER] [compute_sms cache_sms]\n"
                  "       morpheus_cli --list\n"
-                 "       morpheus_cli --scenario <name> [--jobs N] [--format text|csv|json]"
-                 " [--trace FILE] [--output FILE] [--cache-dir DIR]\n"
-                 "       morpheus_cli --all [--jobs N] [--format text|csv|json]"
-                 " [--output-dir DIR]\n"
+                 "       morpheus_cli --scenario <name> [--jobs N] [--output FILE]"
+                 " [--cache-dir DIR]\n"
+                 "       morpheus_cli --all [--jobs N] [--output-dir DIR] [--cache-dir DIR]\n"
                  "apps:");
     for (const auto &app : app_catalog())
         std::fprintf(stderr, " %s", app.params.name.c_str());

@@ -28,14 +28,6 @@ struct WarpStep
 {
     static constexpr std::uint32_t kMaxLinesPerInst = 8;
 
-    /**
-     * Program counter of the step's first instruction. 0 when the
-     * generator doesn't model PCs (the synthetic workload); trace replay
-     * (TraceWorkload) carries the recorded pc through, so re-recording a
-     * replay preserves it and future pc-indexed predictors can consume it.
-     */
-    std::uint64_t pc = 0;
-
     /** Number of ALU warp-instructions preceding the memory op. */
     std::uint32_t alu_instrs = 0;
 
@@ -86,13 +78,6 @@ class Workload
      * kernel's BDI compressor. Deterministic per line.
      */
     virtual Block synthesize_block(LineAddr line) const = 0;
-
-    /**
-     * True when WarpStep::pc carries real program counters (trace
-     * replay). Recorders then preserve them verbatim — including
-     * legitimate zero pcs — instead of synthesizing monotonic ones.
-     */
-    virtual bool models_pc() const { return false; }
 };
 
 } // namespace morpheus

@@ -5,17 +5,11 @@
 namespace morpheus {
 
 RunResult
-run_workload(const SystemSetup &setup, Workload &workload)
-{
-    GpuSystem system(setup, workload);
-    return system.run();
-}
-
-RunResult
 run_setup(const SystemSetup &setup, const WorkloadParams &params)
 {
     SyntheticWorkload workload(params);
-    return run_workload(setup, workload);
+    GpuSystem system(setup, workload);
+    return system.run();
 }
 
 RunResult

@@ -8,15 +8,6 @@
 
 namespace morpheus {
 
-class Workload;
-
-/**
- * Runs any Workload implementation — synthetic or trace replay — on a
- * freshly built @p setup and returns all metrics. The workload is
- * reconfigured for the setup's compute-SM count by GpuSystem::run().
- */
-RunResult run_workload(const SystemSetup &setup, Workload &workload);
-
 /** Runs @p params on a freshly built @p setup and returns all metrics. */
 RunResult run_setup(const SystemSetup &setup, const WorkloadParams &params);
 

@@ -109,25 +109,8 @@ run_all_scenarios(const ScenarioOptions &opts, const std::string &output_dir)
     }
     std::ostream &os = opts.out ? *opts.out : std::cout;
     int rc = 0;
-    bool first = true;
-    // JSON mode: every scenario emits its own top-level array, so wrap
-    // them in one {"scenario": name, "tables": [...]} array to keep the
-    // combined stdout a single valid JSON document.
-    if (opts.format == TableFormat::kJson)
-        os << "[\n";
     for (const auto &s : scenario_registry()) {
-        switch (opts.format) {
-          case TableFormat::kText:
-            os << "===== " << s.name << " =====\n";
-            break;
-          case TableFormat::kCsv:
-            os << (first ? "" : "\n") << "## scenario: " << s.name << '\n';
-            break;
-          case TableFormat::kJson:
-            os << (first ? "" : ",\n") << "{\"scenario\": \"" << s.name << "\", \"tables\": ";
-            break;
-        }
-        first = false;
+        os << "===== " << s.name << " =====\n";
         std::string path;
         if (!output_dir.empty())
             path = output_dir + "/" + RunReport::default_filename(s.name);
@@ -135,13 +118,8 @@ run_all_scenarios(const ScenarioOptions &opts, const std::string &output_dir)
         // Hard failures dominate degraded, degraded dominates success.
         if (one != 0 && (rc == 0 || (rc == kExitDegraded && one != kExitDegraded)))
             rc = one;
-        if (opts.format == TableFormat::kText)
-            os << '\n';
-        else if (opts.format == TableFormat::kJson)
-            os << "}";
+        os << '\n';
     }
-    if (opts.format == TableFormat::kJson)
-        os << "\n]\n";
     return rc;
 }
 
@@ -210,24 +188,15 @@ parse_scenario_flags(int argc, char **argv, const char *path_flag, ScenarioOptio
         if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
             if (!parse_jobs_value(argv[++i], opts.jobs))
                 return false;
-        } else if (std::strcmp(argv[i], "--format") == 0 && i + 1 < argc) {
-            if (!parse_table_format(argv[++i], opts.format)) {
-                std::fprintf(stderr, "unknown format '%s' (text|csv|json)\n", argv[i]);
-                return false;
-            }
-        } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-            opts.trace_path = argv[++i];
         } else if (std::strcmp(argv[i], "--cache-dir") == 0 && i + 1 < argc) {
             opts.cache_dir = argv[++i];
         } else if (std::strcmp(argv[i], path_flag) == 0 && i + 1 < argc) {
             path = argv[++i];
         } else {
-            const char *known[] = {"--jobs", "--format", "--trace", "--cache-dir", path_flag};
+            const char *known[] = {"--jobs", "--cache-dir", path_flag};
             suggest_flag(argv[i], known, sizeof(known) / sizeof(known[0]));
-            std::fprintf(stderr,
-                         "usage: %s [--jobs N] [--format text|csv|json] "
-                         "[--trace FILE] [--cache-dir DIR] [%s PATH]\n",
-                         argv[0], path_flag);
+            std::fprintf(stderr, "usage: %s [--jobs N] [--cache-dir DIR] [%s PATH]\n", argv[0],
+                         path_flag);
             return false;
         }
     }
@@ -262,54 +231,23 @@ scenario_all_main(int argc, char **argv)
 }
 
 ScenarioEmitter::ScenarioEmitter(const ScenarioOptions &opts)
-    : os_(opts.out ? *opts.out : std::cout), format_(opts.format)
+    : os_(opts.out ? *opts.out : std::cout)
 {
-    if (format_ == TableFormat::kJson)
-        os_ << "[\n";
-}
-
-ScenarioEmitter::~ScenarioEmitter()
-{
-    if (format_ == TableFormat::kJson)
-        os_ << (tables_ ? "\n]\n" : "]\n");
 }
 
 void
 ScenarioEmitter::table(const std::string &title, const Table &t)
 {
-    switch (format_) {
-      case TableFormat::kText:
-        if (tables_)
-            os_ << '\n';
-        os_ << "== " << title << " ==\n";
-        t.print(os_);
-        break;
-      case TableFormat::kCsv:
-        if (tables_)
-            os_ << '\n';
-        os_ << "# " << title << '\n';
-        t.emit_csv(os_);
-        break;
-      case TableFormat::kJson:
-        os_ << (tables_ ? ",\n" : "") << "  {\"table\": \"";
-        for (char c : title) {
-            if (c == '"' || c == '\\')
-                os_ << '\\';
-            os_ << c;
-        }
-        os_ << "\", \"rows\": ";
-        t.emit_json(os_);
-        os_ << '}';
-        break;
-    }
+    if (tables_)
+        os_ << '\n';
+    os_ << "== " << title << " ==\n";
+    t.print(os_);
     ++tables_;
 }
 
 void
 ScenarioEmitter::note(const char *fmt, ...)
 {
-    if (format_ != TableFormat::kText)
-        return;
     char buf[2048];
     va_list args;
     va_start(args, fmt);

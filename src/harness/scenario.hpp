@@ -22,18 +22,11 @@ struct ScenarioOptions
 {
     /** Sweep worker threads (0 = default_sweep_jobs()). */
     unsigned jobs = 0;
-    TableFormat format = TableFormat::kText;
     /** Output stream; nullptr means std::cout. */
     std::ostream *out = nullptr;
     /** When non-null, the scenario records every job's metrics here
      *  (persisted as BENCH_<scenario>.json; see harness/report.hpp). */
     RunReport *report = nullptr;
-    /**
-     * `.mtrc` trace to replay (`--trace FILE`; trace_replay scenario).
-     * Empty means the scenario's default: every trace in
-     * $MORPHEUS_TRACE_DIR, ./bench/traces, or ../bench/traces.
-     */
-    std::string trace_path;
 
     /** @name Result memoization (docs/CACHE_FORMAT.md)
      * `--cache-dir DIR` fills cache_dir; run_scenario_with_report then
@@ -65,10 +58,8 @@ void list_scenarios(std::ostream &os);
 
 /**
  * Entry point behind `morpheus_cli --scenario NAME`: parses `--jobs N`,
- * `--format text|csv|json`, `--trace FILE` (replay a specific `.mtrc`
- * trace; see docs/TRACE_FORMAT.md), and `--output FILE` (write a
- * BENCH_<scenario>.json report; see docs/REPORT_SCHEMA.md), then runs
- * scenario @p name.
+ * `--cache-dir DIR` and `--output FILE` (write a BENCH_<scenario>.json
+ * report; see docs/REPORT_SCHEMA.md), then runs scenario @p name.
  */
 int scenario_main(const char *name, int argc, char **argv);
 
@@ -90,23 +81,19 @@ int run_all_scenarios(const ScenarioOptions &opts, const std::string &output_dir
 
 /**
  * Flag-parsing entry point behind `morpheus_cli --all`: accepts
- * `--jobs N`, `--format text|csv|json`, and `--output-dir DIR` (same
- * validation as scenario_main), then runs every registered scenario.
+ * `--jobs N`, `--cache-dir DIR` and `--output-dir DIR` (same validation
+ * as scenario_main), then runs every registered scenario.
  */
 int scenario_all_main(int argc, char **argv);
 
 /**
- * Emits a scenario's tables and commentary in the selected format.
- * Text mode interleaves titles, tables, and notes as before; CSV mode
- * prints `# title` comment lines between blocks; JSON mode wraps all
- * tables of the scenario into one array of {"table", "rows"} objects
- * (notes are dropped).
+ * Emits a scenario's tables and commentary as text: titles, tables and
+ * notes interleaved, in call order.
  */
 class ScenarioEmitter
 {
   public:
     explicit ScenarioEmitter(const ScenarioOptions &opts);
-    ~ScenarioEmitter();
 
     ScenarioEmitter(const ScenarioEmitter &) = delete;
     ScenarioEmitter &operator=(const ScenarioEmitter &) = delete;
@@ -114,15 +101,11 @@ class ScenarioEmitter
     /** Emits one titled table. */
     void table(const std::string &title, const Table &t);
 
-    /** Free-form commentary; printed in text mode only. */
+    /** Free-form commentary. */
     void note(const char *fmt, ...) __attribute__((format(printf, 2, 3)));
-
-    std::ostream &out() { return os_; }
-    TableFormat format() const { return format_; }
 
   private:
     std::ostream &os_;
-    TableFormat format_;
     std::size_t tables_ = 0;
 };
 

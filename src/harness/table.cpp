@@ -1,108 +1,11 @@
 #include "harness/table.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <ostream>
 
 namespace morpheus {
-namespace {
-
-/** True when @p s can be emitted as a bare JSON number. */
-bool
-is_plain_number(const std::string &s)
-{
-    std::size_t i = 0;
-    if (i < s.size() && s[i] == '-')
-        ++i;
-    std::size_t digits = 0;
-    while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
-        ++i;
-        ++digits;
-    }
-    if (digits == 0)
-        return false;
-    if (i < s.size() && s[i] == '.') {
-        ++i;
-        std::size_t frac = 0;
-        while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
-            ++i;
-            ++frac;
-        }
-        if (frac == 0)
-            return false;
-    }
-    return i == s.size();
-}
-
-void
-write_csv_cell(std::ostream &os, const std::string &cell)
-{
-    if (cell.find_first_of(",\"\n") == std::string::npos) {
-        os << cell;
-        return;
-    }
-    os << '"';
-    for (char c : cell) {
-        if (c == '"')
-            os << '"';
-        os << c;
-    }
-    os << '"';
-}
-
-void
-write_json_string(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-} // namespace
-
-bool
-parse_table_format(const char *name, TableFormat &out)
-{
-    if (std::strcmp(name, "text") == 0) {
-        out = TableFormat::kText;
-        return true;
-    }
-    if (std::strcmp(name, "csv") == 0) {
-        out = TableFormat::kCsv;
-        return true;
-    }
-    if (std::strcmp(name, "json") == 0) {
-        out = TableFormat::kJson;
-        return true;
-    }
-    return false;
-}
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {}
 
@@ -145,63 +48,6 @@ void
 Table::print() const
 {
     print(std::cout);
-}
-
-void
-Table::emit_csv(std::ostream &os) const
-{
-    auto emit_row = [&](const std::vector<std::string> &cells) {
-        for (std::size_t c = 0; c < cells.size(); ++c) {
-            if (c)
-                os << ',';
-            write_csv_cell(os, cells[c]);
-        }
-        os << '\n';
-    };
-    emit_row(headers_);
-    for (const auto &row : rows_)
-        emit_row(row);
-}
-
-void
-Table::emit_json(std::ostream &os, int indent) const
-{
-    const std::string pad(indent, ' ');
-    os << pad << "[";
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-        os << (r == 0 ? "\n" : ",\n") << pad << "  {";
-        for (std::size_t c = 0; c < headers_.size(); ++c) {
-            if (c)
-                os << ", ";
-            write_json_string(os, headers_[c]);
-            os << ": ";
-            if (is_plain_number(rows_[r][c]))
-                os << rows_[r][c];
-            else
-                write_json_string(os, rows_[r][c]);
-        }
-        os << '}';
-    }
-    if (!rows_.empty())
-        os << '\n' << pad;
-    os << "]";
-}
-
-void
-Table::emit(std::ostream &os, TableFormat format) const
-{
-    switch (format) {
-      case TableFormat::kText:
-        print(os);
-        break;
-      case TableFormat::kCsv:
-        emit_csv(os);
-        break;
-      case TableFormat::kJson:
-        emit_json(os);
-        os << '\n';
-        break;
-    }
 }
 
 std::string

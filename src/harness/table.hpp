@@ -7,21 +7,10 @@
 
 namespace morpheus {
 
-/** Output encodings understood by Table and the bench scenarios. */
-enum class TableFormat : std::uint8_t
-{
-    kText, ///< fixed-width ASCII (human-readable, the default)
-    kCsv,  ///< RFC-4180-style CSV with a header row
-    kJson, ///< array of row objects keyed by header
-};
-
-/** Parses "text" / "csv" / "json". @return false on unknown name. */
-bool parse_table_format(const char *name, TableFormat &out);
-
 /**
- * A minimal fixed-width ASCII table used by every bench binary to print
- * the paper's tables and figure series; also emits CSV and JSON so sweep
- * results can feed machine consumers (perf trajectories, plotting).
+ * A minimal fixed-width ASCII table used by every scenario to print the
+ * paper's tables and figure series. Machine consumers read the
+ * scenario's RunReport (`--output`), not this text.
  */
 class Table
 {
@@ -36,18 +25,6 @@ class Table
 
     /** Renders to stdout. */
     void print() const;
-
-    /** Emits one header row plus one line per data row. */
-    void emit_csv(std::ostream &os) const;
-
-    /**
-     * Emits a JSON array of objects, one per row, keyed by header. Cells
-     * that look like plain numbers are emitted unquoted.
-     */
-    void emit_json(std::ostream &os, int indent = 0) const;
-
-    /** Renders in @p format (print / emit_csv / emit_json). */
-    void emit(std::ostream &os, TableFormat format) const;
 
   private:
     std::vector<std::string> headers_;

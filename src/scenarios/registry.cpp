@@ -38,12 +38,6 @@ scenario_registry()
          run_sec75_overheads},
         {"tab03_core_counts", "Table 3: offline search for the best compute-SM counts",
          run_tab03_core_counts},
-        {"trace_corpus",
-         "converted-trace corpus: real-GPU-style .mtrc traces streamed zero-copy",
-         run_trace_corpus},
-        {"trace_replay",
-         "trace-driven replay: recorded .mtrc kernels through the full harness",
-         run_trace_replay},
         {"kmeans_capacity_sweep",
          "capacity-planning example: compute/cache split sweep for kmeans",
          run_kmeans_capacity_sweep},

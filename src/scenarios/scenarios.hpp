@@ -25,8 +25,6 @@ int run_query_depth(const ScenarioOptions &opts);
 int run_sec74_bandwidth_analysis(const ScenarioOptions &opts);
 int run_sec75_overheads(const ScenarioOptions &opts);
 int run_tab03_core_counts(const ScenarioOptions &opts);
-int run_trace_corpus(const ScenarioOptions &opts);
-int run_trace_replay(const ScenarioOptions &opts);
 int run_kmeans_capacity_sweep(const ScenarioOptions &opts);
 
 } // namespace morpheus::scenarios

@@ -11,7 +11,7 @@ namespace morpheus {
 /**
  * A small, fast, deterministic PRNG (xoshiro256** core seeded via
  * SplitMix64). Used by workload generators and property tests; we avoid
- * <random> engines so that traces are reproducible across standard
+ * <random> engines so that runs are reproducible across standard
  * library implementations.
  */
 class Rng

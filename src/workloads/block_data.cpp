@@ -34,35 +34,4 @@ synthesize_block(const BlockDataProfile &profile, LineAddr line)
     return block;
 }
 
-Block
-synthesize_block_of_level(CompLevel level, std::uint64_t seed, LineAddr line)
-{
-    Block block{};
-    Rng rng(mix64(seed) ^ mix64(line * 0x9E3779B97F4A7C15ULL + 1));
-
-    std::uint64_t values[kLineBytes / 8];
-    switch (level) {
-      case CompLevel::kHigh: {
-        // 1-byte deltas off a shared base: BDI b8d1, 26 bytes.
-        const std::uint64_t base = rng.next_u64() >> 8;
-        for (auto &v : values)
-            v = base + rng.next_below(100);
-        break;
-      }
-      case CompLevel::kLow: {
-        // 2-byte deltas: BDI b8d2, 42 bytes.
-        const std::uint64_t base = rng.next_u64() >> 8;
-        for (auto &v : values)
-            v = base + 256 + rng.next_below(30000);
-        break;
-      }
-      default:
-        for (auto &v : values)
-            v = rng.next_u64();
-        break;
-    }
-    std::memcpy(block.data(), values, sizeof(values));
-    return block;
-}
-
 } // namespace morpheus

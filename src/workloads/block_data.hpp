@@ -34,14 +34,6 @@ struct BlockDataProfile
  */
 Block synthesize_block(const BlockDataProfile &profile, LineAddr line);
 
-/**
- * Synthesizes a block that BDI-compresses to exactly @p level:
- * class-conditional generation for trace replay when only the recorded
- * footprint class — not the generating profile — is known
- * (docs/TRACE_FORMAT.md). Deterministic per (seed, line).
- */
-Block synthesize_block_of_level(CompLevel level, std::uint64_t seed, LineAddr line);
-
 } // namespace morpheus
 
 #endif // MORPHEUS_WORKLOADS_BLOCK_DATA_HPP_

@@ -258,11 +258,6 @@ TEST(SweepEngine, EveryScenarioByteIdenticalAcrossJobCounts)
     // prints the same text and records the same report at one worker
     // and at four.
     ASSERT_EQ(setenv("MORPHEUS_WORK_SCALE", "0.01", 1), 0);
-    // The trace scenarios find bench/traces/ from any working directory;
-    // directories the caller already set win.
-    ASSERT_EQ(setenv("MORPHEUS_TRACE_DIR", MORPHEUS_SOURCE_DIR "/bench/traces", 0), 0);
-    ASSERT_EQ(setenv("MORPHEUS_TRACE_CORPUS_DIR", MORPHEUS_SOURCE_DIR "/bench/traces/corpus", 0),
-              0);
 
     for (const Scenario &s : scenario_registry()) {
         const ScenarioRun serial = run_scenario_at(s, 1);
