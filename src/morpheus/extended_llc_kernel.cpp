@@ -54,8 +54,6 @@ ExtSet::ExtSet(std::uint32_t budget_bytes, bool compression, Cycle epoch_cycles)
 const ExtSet::Entry *
 ExtSet::find(LineAddr line) const
 {
-    if (bucket_count_[bucket(line)] == 0)
-        return nullptr; // definitely absent — skip the tag scan
     for (std::size_t i = 0; i < tags_.size(); ++i) {
         if (tags_[i] == line)
             return &entries_[i];
@@ -72,7 +70,6 @@ ExtSet::find(LineAddr line)
 void
 ExtSet::remove_at(std::size_t i)
 {
-    --bucket_count_[bucket(tags_[i])];
     entries_[i] = entries_.back();
     entries_.pop_back();
     tags_[i] = tags_.back();
@@ -214,7 +211,6 @@ ExtSet::insert(Cycle now, LineAddr line, std::uint64_t version, bool dirty, Comp
     ++inserted_[static_cast<std::size_t>(level)];
     entries_.push_back(Entry{line, version, dirty, static_cast<CompLevel>(slot), level, ++clock_});
     tags_.push_back(line);
-    ++bucket_count_[bucket(line)];
     return true;
 }
 
@@ -305,7 +301,7 @@ CacheModeSm::dram_round_trip(std::uint32_t s, Cycle start)
     // channel -> NoC -> cache-mode SM, bypassing the conventional LLC.
     // The return transfer is reserved by an event at fetch completion so
     // that port reservations stay monotonic in time.
-    const LineAddr line = sets_[s].queue.front().req.line;
+    const LineAddr line = pool_[sets_[s].head].line;
     auto &parts = *partitions_;
     const std::uint32_t p = partition_of(line, static_cast<std::uint32_t>(parts.size()));
     ctx_.energy->add_noc_bytes(ctx_.noc->params().header_bytes);
@@ -329,57 +325,101 @@ CacheModeSm::writeback(Cycle when, LineAddr line, std::uint64_t version)
     parts[p]->dram_writeback(at_partition, line, version);
 }
 
+std::uint32_t
+CacheModeSm::new_node()
+{
+    if (free_ == kNone) {
+        pool_.emplace_back();
+        return static_cast<std::uint32_t>(pool_.size() - 1);
+    }
+    const std::uint32_t n = free_;
+    free_ = pool_[n].next;
+    pool_[n] = Task{};
+    return n;
+}
+
+void
+CacheModeSm::free_node(std::uint32_t n)
+{
+    pool_[n].next = free_;
+    free_ = n;
+}
+
+void
+CacheModeSm::push_task(std::uint32_t s, std::uint32_t n)
+{
+    WarpSet &ws = sets_[s];
+    if (ws.tail == kNone)
+        ws.head = n;
+    else
+        pool_[ws.tail].next = n;
+    ws.tail = n;
+    ++ws.queued;
+    ++ws.tasks;
+    if (!ws.busy) {
+        ws.busy = true;
+        ctx_.eq->schedule(pool_[n].ready, [this, s] { service(ctx_.eq->now(), s); });
+    }
+}
+
 void
 CacheModeSm::enqueue_request(Cycle ready, std::uint32_t s, const MemRequest &req, ExtDone done)
 {
-    WarpSet &ws = sets_[s];
+    const WarpSet &ws = sets_[s];
 
     // Same-line read coalescing in the request queue (the query logic
     // already tracks per-request line addresses): bursts of reads to one
     // hot line are served by a single warp pass, mirroring the MSHR
-    // merging that conventional LLC misses enjoy. The head-of-queue task
-    // is skipped when busy: it may already be mid-service.
+    // merging that conventional LLC misses enjoy. A read merges onto the
+    // last queued same-line read task; the head task is skipped once it
+    // has begun service.
     if (req.type == AccessType::kRead) {
-        const std::size_t first = ws.head_active ? 1 : 0;
-        for (std::size_t i = ws.queue.size(); i > first; --i) {
-            Task &t = ws.queue[i - 1];
-            if (!t.is_insert && t.req.line == req.line && t.req.type == AccessType::kRead) {
-                t.merged.push_back(done);
-                ++merged_requests_;
-                return;
-            }
+        // Known model fault (ROADMAP.md, the model fixes): this walk may
+        // merge a read across a queued same-line write. Fixing it moves
+        // results, so a speed-only change must keep it.
+        std::uint32_t match = kNone;
+        std::uint32_t n = ws.head_active ? pool_[ws.head].next : ws.head;
+        for (; n != kNone; n = pool_[n].next) {
+            const Task &t = pool_[n];
+            if (!t.is_insert && t.line == req.line && t.type == AccessType::kRead)
+                match = n;
+        }
+        if (match != kNone) {
+            const std::uint32_t r = new_node();
+            pool_[r].done = done;
+            Task &t = pool_[match];
+            if (t.merged_tail == kNone)
+                t.merged_head = r;
+            else
+                pool_[t.merged_tail].next = r;
+            t.merged_tail = r;
+            ++merged_requests_;
+            return;
         }
     }
 
-    Task task;
-    task.is_insert = false;
-    task.req = req;
+    const std::uint32_t n = new_node();
+    Task &task = pool_[n];
+    task.line = req.line;
+    task.type = req.type;
+    task.version = req.write_version;
     task.done = done;
     task.ready = ready;
-    ws.queue.push_back(std::move(task));
-    ++ws.tasks;
-    if (!ws.busy) {
-        ws.busy = true;
-        ctx_.eq->schedule(ready, [this, s] { service(ctx_.eq->now(), s); });
-    }
+    push_task(s, n);
 }
 
 void
 CacheModeSm::enqueue_insert(Cycle ready, std::uint32_t s, LineAddr line, std::uint64_t version,
                             bool dirty)
 {
-    Task task;
+    const std::uint32_t n = new_node();
+    Task &task = pool_[n];
     task.is_insert = true;
-    task.req.line = line;
+    task.line = line;
     task.version = version;
     task.dirty = dirty;
     task.ready = ready;
-    sets_[s].queue.push_back(std::move(task));
-    ++sets_[s].tasks;
-    if (!sets_[s].busy) {
-        sets_[s].busy = true;
-        ctx_.eq->schedule(ready, [this, s] { service(ctx_.eq->now(), s); });
-    }
+    push_task(s, n);
 }
 
 void
@@ -388,12 +428,16 @@ CacheModeSm::finish_task(Cycle when, std::uint32_t s)
     WarpSet &ws = sets_[s];
     ws.busy_cycles += when > ws.service_began ? when - ws.service_began : 0;
     ws.head_active = false;
-    ws.queue.pop_front();
-    if (ws.queue.empty()) {
+    const std::uint32_t done = ws.head;
+    ws.head = pool_[done].next;
+    free_node(done);
+    --ws.queued;
+    if (ws.head == kNone) {
+        ws.tail = kNone;
         ws.busy = false;
         return;
     }
-    const Cycle next = std::max(when, ws.queue.front().ready);
+    const Cycle next = std::max(when, pool_[ws.head].ready);
     ctx_.eq->schedule(next, [this, s] { service(ctx_.eq->now(), s); });
 }
 
@@ -403,9 +447,9 @@ CacheModeSm::dequeue_transfer(Cycle when, const Task &task)
     // The controller de-queues the task now that the warp is free and
     // ships it over the NoC (writes and insertions carry the block).
     const std::uint32_t payload =
-        (task.is_insert || task.req.type == AccessType::kWrite) ? kLineBytes : 0;
+        (task.is_insert || task.type == AccessType::kWrite) ? kLineBytes : 0;
     const std::uint32_t p =
-        partition_of(task.req.line, static_cast<std::uint32_t>(partitions_->size()));
+        partition_of(task.line, static_cast<std::uint32_t>(partitions_->size()));
     ctx_.energy->add_noc_bytes(payload + ctx_.noc->params().header_bytes);
     return ctx_.noc->partition_to_sm(when, p, sm_id_, payload);
 }
@@ -414,11 +458,11 @@ void
 CacheModeSm::service(Cycle when, std::uint32_t s)
 {
     WarpSet &ws = sets_[s];
-    assert(!ws.queue.empty());
-    Task &task = ws.queue.front();
+    assert(ws.head != kNone);
+    const Task &task = pool_[ws.head];
 
     queue_wait_.add(static_cast<double>(std::max(when, task.ready) - task.ready));
-    queue_depth_.add(static_cast<double>(ws.queue.size()));
+    queue_depth_.add(static_cast<double>(ws.queued));
     ws.head_active = true;
     ws.service_began = std::max(when, task.ready);
     const Cycle start = dequeue_transfer(std::max(when, task.ready), task);
@@ -432,7 +476,7 @@ CacheModeSm::service(Cycle when, std::uint32_t s)
         std::uint32_t instrs = params_.evict_instrs + params_.data_move_instrs(ws.storage);
         CompLevel level = CompLevel::kUncompressed;
         if (params_.compression && ws.storage != ExtStorage::kL1) {
-            level = level_of(task.req.line);
+            level = level_of(task.line);
             instrs += params_.compress_instrs;
         }
         // The issue port is reserved at event time (reservations must be
@@ -440,14 +484,14 @@ CacheModeSm::service(Cycle when, std::uint32_t s)
         Cycle t = std::max(issue(when, instrs), start);
         t += storage_access(s, kLineBytes);
         const bool installed =
-            ws.set.insert(t, task.req.line, task.version, task.dirty, level, evicted_scratch_);
+            ws.set.insert(t, task.line, task.version, task.dirty, level, evicted_scratch_);
         for (const auto &ev : evicted_scratch_)
             writeback(t, ev.line, ev.version);
         // A dirty block that bypasses the set (no compatible slot) holds
         // the only up-to-date copy of the data: it must reach memory, or a
         // later fetch would observe the stale pre-write version.
         if (!installed && task.dirty)
-            writeback(t, task.req.line, task.version);
+            writeback(t, task.line, task.version);
         service_time_.add(static_cast<double>(t - start));
         finish_task(t, s);
         return;
@@ -455,7 +499,6 @@ CacheModeSm::service(Cycle when, std::uint32_t s)
 
     // Request path (predicted hit): software tag lookup, then serve.
     ++served_;
-    const MemRequest &req = task.req;
     // Port reservations happen at event time. The tag lookup needs only
     // the request header, so it resolves as soon as the instructions
     // issue; the fixed software overhead (status-table polling,
@@ -469,25 +512,25 @@ CacheModeSm::service(Cycle when, std::uint32_t s)
     std::uint64_t version = 0;
     CompLevel level = CompLevel::kUncompressed;
     bool hit = false;
-    switch (req.type) {
+    switch (task.type) {
       case AccessType::kRead:
-        hit = ws.set.touch_read(t, req.line, version, level);
+        hit = ws.set.touch_read(t, task.line, version, level);
         break;
       case AccessType::kWrite:
       case AccessType::kAtomic:
         // Atomics read-modify-write; plain writes overwrite. Either way
         // the resulting version is the requester's (globally ordered).
-        hit = ws.set.touch_read(t, req.line, version, level);
+        hit = ws.set.touch_read(t, task.line, version, level);
         if (hit) {
-            version = std::max(version, req.write_version);
-            ws.set.touch_write(t, req.line, version);
+            version = std::max(version, task.version);
+            ws.set.touch_write(t, task.line, version);
         }
         break;
     }
 
     if (hit) {
         std::uint32_t instrs = params_.data_move_instrs(ws.storage) + params_.respond_instrs;
-        if (req.type == AccessType::kAtomic)
+        if (task.type == AccessType::kAtomic)
             instrs += params_.atomic_instrs;
         if (params_.compression && ws.storage != ExtStorage::kL1) {
             if (level == CompLevel::kHigh)
@@ -515,15 +558,16 @@ void
 CacheModeSm::service_miss_fill(std::uint32_t s, Cycle start)
 {
     WarpSet &ws = sets_[s];
-    Task &task = ws.queue.front();
-    const MemRequest &req = task.req;
+    const Task &task = pool_[ws.head];
+    const LineAddr line = task.line;
+    const AccessType type = task.type;
     const Cycle now = ctx_.eq->now();
 
-    const std::uint64_t mem_version = ctx_.store->read(req.line);
+    const std::uint64_t mem_version = ctx_.store->read(line);
     std::uint64_t version = mem_version;
     bool dirty = false;
-    if (req.type != AccessType::kRead) {
-        version = std::max(mem_version, req.write_version);
+    if (type != AccessType::kRead) {
+        version = std::max(mem_version, task.version);
         dirty = true;
     }
 
@@ -531,22 +575,22 @@ CacheModeSm::service_miss_fill(std::uint32_t s, Cycle start)
                            params_.respond_instrs;
     CompLevel ins_level = CompLevel::kUncompressed;
     if (params_.compression && ws.storage != ExtStorage::kL1) {
-        ins_level = level_of(req.line);
+        ins_level = level_of(line);
         instrs += params_.compress_instrs;
     }
-    if (req.type == AccessType::kAtomic)
+    if (type == AccessType::kAtomic)
         instrs += params_.atomic_instrs;
 
     Cycle t2 = issue(now, instrs);
     t2 += storage_access(s, kLineBytes);
     evicted_scratch_.clear();
-    const bool installed = ws.set.insert(t2, req.line, version, dirty, ins_level, evicted_scratch_);
+    const bool installed = ws.set.insert(t2, line, version, dirty, ins_level, evicted_scratch_);
     for (const auto &ev : evicted_scratch_)
         writeback(t2, ev.line, ev.version);
     // Same staleness hazard as the insert-task path: a bypassed dirty
     // block must still be written back.
     if (!installed && dirty)
-        writeback(t2, req.line, version);
+        writeback(t2, line, version);
 
     service_time_.add(static_cast<double>(t2 - start));
     complete_task(t2, s, version, false);
@@ -557,20 +601,23 @@ CacheModeSm::complete_task(Cycle when, std::uint32_t s, std::uint64_t version, b
 {
     // Each completion runs as an event at @p when so that the
     // controller's response-leg NoC reservation happens at event time.
-    WarpSet &ws = sets_[s];
-    Task &task = ws.queue.front();
     // Hits and misses count per requester (merged readers included), the
     // same per-request semantics as the conventional LLC; this keeps the
     // controller-side identity predicted_hits == hits + false positives.
-    (hit ? hits_ : misses_) += 1 + task.merged.size();
     const auto signal = [this, when, version, hit](const ExtDone &done) {
-        ctx_.eq->schedule(when, [sink = done.sink, id = done.id, hit, when, version] {
-            sink->ext_done(id, when, version, hit);
+        ++(hit ? hits_ : misses_);
+        ctx_.eq->schedule(when, [sink = done.sink, id = done.id, sm = sm_id_, hit, version] {
+            sink->ext_done(id, sm, version, hit);
         });
     };
+    const Task &task = pool_[sets_[s].head];
     signal(task.done);
-    for (const ExtDone &merged : task.merged)
-        signal(merged);
+    for (std::uint32_t n = task.merged_head; n != kNone;) {
+        signal(pool_[n].done);
+        const std::uint32_t next = pool_[n].next;
+        free_node(n);
+        n = next;
+    }
     finish_task(when, s);
 }
 

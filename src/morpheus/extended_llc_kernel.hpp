@@ -2,7 +2,7 @@
 #define MORPHEUS_MORPHEUS_EXTENDED_LLC_KERNEL_HPP_
 
 #include <cstdint>
-#include <deque>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -183,11 +183,7 @@ class ExtSet
     void maybe_epoch(Cycle now);
     void rebalance();
 
-    /** Occupancy-filter bucket of @p line (see bucket_count_). */
-    static std::uint32_t bucket(LineAddr line) { return static_cast<std::uint32_t>(line) & 255u; }
-
-    /** Removes entry @p i (swap-with-back), keeping tags_ and the
-     *  occupancy filter in sync. */
+    /** Removes entry @p i (swap-with-back), keeping tags_ in sync. */
     void remove_at(std::size_t i);
 
     /** Free slots at @p level under the current allocation. */
@@ -207,10 +203,6 @@ class ExtSet
     /** entries_[i].line mirrored into a dense array so lookups scan 8-byte
      *  tags instead of 40-byte Entry structs (the find() hot path). */
     std::vector<LineAddr> tags_;
-    /** Per-bucket resident counts: find() early-outs on absent lines
-     *  (the common case on the insert path) when a line's bucket is
-     *  empty. uint16 because compressed sets can exceed 255 blocks. */
-    std::uint16_t bucket_count_[256] = {};
     std::uint32_t alloc_[3] = {0, 0, 0};   ///< slots per CompLevel
     std::uint32_t used_[3] = {0, 0, 0};
     std::uint64_t demand_[3] = {0, 0, 0};  ///< per-epoch level demand
@@ -225,8 +217,9 @@ class ExtSink
   public:
     virtual ~ExtSink() = default;
 
-    /** The warp finished serving request @p id at @p when. */
-    virtual void ext_done(ReqId id, Cycle when, std::uint64_t version, bool hit) = 0;
+    /** The warp of cache-mode SM @p cache_sm finished serving request
+     *  @p id now (the event queue's current time). */
+    virtual void ext_done(ReqId id, std::uint32_t cache_sm, std::uint64_t version, bool hit) = 0;
 };
 
 /** Where an extended-LLC request's completion goes: @p sink gets @p id. */
@@ -314,27 +307,46 @@ class CacheModeSm
     ///@}
 
   private:
+    static constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+
+    /**
+     * A node of the SM's task pool: a queued task, or a read request
+     * merged onto one (then only `done` and `next` are used). Nodes are
+     * addressed by index, so any enqueue, which may grow the pool,
+     * invalidates a `Task &`.
+     */
     struct Task
     {
-        bool is_insert = false;
-        MemRequest req{};
-        ExtDone done;                 // request tasks
-        std::uint64_t version = 0;    // insert tasks
-        bool dirty = false;
+        LineAddr line = 0;
+        /** Request tasks: the requester's write version; insert tasks:
+         *  the block's version. */
+        std::uint64_t version = 0;
         /** Time the task became ready at the controller's request queue.
          *  The partition->SM NoC transfer happens at dequeue (§4.1.3: a
          *  request is de-queued only when its warp is ready). */
         Cycle ready = 0;
+        ExtDone done;                       ///< request tasks and merged readers
+        /** Next task of the set's FIFO, next merged reader, or next free
+         *  node. */
+        std::uint32_t next = kNone;
         /** Same-line read requests merged onto this task (MSHR-style
-         *  coalescing in the query logic's request queue). */
-        std::vector<ExtDone> merged;
+         *  coalescing in the query logic's request queue), a FIFO of
+         *  nodes in arrival order. */
+        std::uint32_t merged_head = kNone;
+        std::uint32_t merged_tail = kNone;
+        AccessType type = AccessType::kRead;
+        bool is_insert = false;
+        bool dirty = false;                 ///< insert tasks
     };
 
     struct WarpSet
     {
         ExtSet set;
+        /** The set's queued tasks: an intrusive FIFO of task-pool nodes. */
+        std::uint32_t head = kNone;
+        std::uint32_t tail = kNone;
+        std::uint32_t queued = 0;
         ExtStorage storage;
-        std::deque<Task> queue;
         bool busy = false;
         /** Head task has begun service (unmergeable). */
         bool head_active = false;
@@ -347,6 +359,13 @@ class CacheModeSm
         {
         }
     };
+
+    /** Takes a cleared node from the task pool. @return its index. */
+    std::uint32_t new_node();
+    void free_node(std::uint32_t n);
+
+    /** Appends task node @p n to set @p s's queue; wakes the warp if idle. */
+    void push_task(std::uint32_t s, std::uint32_t n);
 
     /** Starts serving the head task of set @p s at time @p when. */
     void service(Cycle when, std::uint32_t s);
@@ -384,6 +403,10 @@ class CacheModeSm
     std::vector<std::unique_ptr<LlcPartition>> *partitions_;
     ThroughputPort issue_port_;
     std::vector<WarpSet> sets_;
+    /** Every set's queued tasks and merged readers; freed nodes are
+     *  chained through `next` from free_. */
+    std::vector<Task> pool_;
+    std::uint32_t free_ = kNone;
     std::vector<ExtSet::Evicted> evicted_scratch_;
 
     std::uint64_t served_ = 0;

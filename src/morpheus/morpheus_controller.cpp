@@ -199,8 +199,9 @@ MorpheusController::forward_to_extended(ReqId id, const AddressSeparator::SetRef
 }
 
 void
-MorpheusController::ext_done(ReqId id, Cycle done, std::uint64_t version, bool hit)
+MorpheusController::ext_done(ReqId id, std::uint32_t cache_sm, std::uint64_t version, bool hit)
 {
+    const Cycle done = ctx_.eq->now();
     query_logic_.on_complete(done);
     if (!hit)
         ++false_positives_;
@@ -208,7 +209,6 @@ MorpheusController::ext_done(ReqId id, Cycle done, std::uint64_t version, bool h
     // Response leg: cache-mode SM -> partition (reads carry data).
     const ReqPool::Record &rec = (*ctx_.reqs)[id];
     const bool carries_data = rec.req.type != AccessType::kWrite;
-    const std::uint32_t cache_sm = ext_->sm(ext_->set_of(rec.req.line).sm_slot).sm_id();
     const std::uint32_t payload = carries_data ? kLineBytes : 0;
     ctx_.energy->add_noc_bytes(payload + ctx_.noc->params().header_bytes);
     const Cycle at_part = ctx_.noc->sm_to_partition(done, cache_sm, partition_, payload);

@@ -107,8 +107,9 @@ class MorpheusController final : public ExtSink
     /** Entry point for every LLC request delivered to this partition. */
     void handle(Cycle when, ReqId id);
 
-    /** ExtSink: a cache-mode warp finished serving forwarded request @p id. */
-    void ext_done(ReqId id, Cycle done, std::uint64_t version, bool hit) override;
+    /** ExtSink: a warp of cache-mode SM @p cache_sm finished serving
+     *  forwarded request @p id now; sends the response leg. */
+    void ext_done(ReqId id, std::uint32_t cache_sm, std::uint64_t version, bool hit) override;
 
     const QueryLogic &query_logic() const { return query_logic_; }
 

@@ -49,7 +49,7 @@ class EventFn
      * version) and MorpheusController (`this`, a ReqId, the delivery
      * time and the version), LlcPartition's lookup (`this`, the arrival
      * time, the line and a ReqId), the L1 hit completion, and
-     * CacheModeSm's completion signal (sink, ReqId, hit flag, time and
+     * CacheModeSm's completion signal (sink, ReqId, SM id, hit flag and
      * version).
      */
     static constexpr std::size_t kInlineBytes = 32;

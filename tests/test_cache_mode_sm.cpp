@@ -15,7 +15,7 @@ namespace {
 struct CacheSmHarness
 {
     TestFabric fabric;
-    FakeExtSink sink;
+    FakeExtSink sink{fabric.eq};
     std::vector<std::unique_ptr<LlcPartition>> partitions;
     WorkloadParams wl_params;
     std::unique_ptr<SyntheticWorkload> workload;
@@ -184,4 +184,86 @@ TEST(CacheModeSm, CompressionRaisesEffectiveCapacity)
     const std::uint32_t plain_cap = plain.sm->set_max_blocks(0);
     const std::uint32_t packed_cap = packed.sm->set_max_blocks(0);
     EXPECT_GT(packed_cap, plain_cap);
+}
+
+TEST(CacheModeSm, BurstsCompleteInPerSetFifoOrderAndRepeatAfterDrain)
+{
+    CacheSmHarness h;
+    const std::vector<std::uint32_t> sets{0, 7, 33};
+    // Lines 0 and 2 of each set are resident, so every request hits and a
+    // repeated burst sees the same set contents.
+    const auto line = [](std::uint32_t set, LineAddr k) { return 100 * LineAddr{set} + k; };
+    for (std::uint32_t s : sets) {
+        h.fabric.store.write(line(s, 0), 7);
+        h.request(s, line(s, 0), AccessType::kRead);
+        h.request(s, line(s, 2), AccessType::kRead);
+    }
+
+    struct Done
+    {
+        std::uint32_t set;
+        int op;
+        Cycle latency;
+        std::uint64_t version;
+        bool hit;
+    };
+    // Per set, in enqueue order: read 0, insert 1, read 0 (merges onto the
+    // first read), write 2, read 2 (behind the write: a task of its own),
+    // read 0 and read 2 (each merges onto the last same-line read task).
+    // The three sets' ops interleave.
+    const auto burst = [&] {
+        std::vector<Done> log;
+        const Cycle start = h.fabric.eq.now();
+        for (int op = 0; op < 7; ++op) {
+            for (std::uint32_t s : sets) {
+                if (op == 1) {
+                    h.sm->enqueue_insert(start, s, line(s, 1), 3, false);
+                    continue;
+                }
+                const LineAddr k = (op == 0 || op == 2 || op == 5) ? 0 : 2;
+                const AccessType type = op == 3 ? AccessType::kWrite : AccessType::kRead;
+                const MemRequest req{line(s, k), type, 0, op == 3 ? 11u : 0u};
+                h.sm->enqueue_request(
+                    start, s, req,
+                    h.sink.done([&log, s, op, start](Cycle t, std::uint64_t v, bool hit) {
+                        log.push_back(Done{s, op, t - start, v, hit});
+                    }));
+            }
+        }
+        h.fabric.eq.run();
+        return log;
+    };
+
+    const std::uint64_t merged_before = h.sm->merged_requests();
+    const std::vector<Done> first = burst();
+    EXPECT_EQ(h.sm->merged_requests() - merged_before, 3 * sets.size());
+    ASSERT_EQ(first.size(), 6 * sets.size());
+    for (std::uint32_t s : sets) {
+        std::vector<int> order;
+        Cycle last = 0;
+        for (const Done &d : first) {
+            if (d.set != s)
+                continue;
+            order.push_back(d.op);
+            EXPECT_TRUE(d.hit) << "set " << s << " op " << d.op;
+            EXPECT_EQ(d.version, (d.op == 0 || d.op == 2 || d.op == 5) ? 7u : 11u);
+            EXPECT_GE(d.latency, last);
+            last = d.latency;
+        }
+        // Merged readers complete with their task, in arrival order.
+        EXPECT_EQ(order, (std::vector<int>{0, 2, 5, 3, 4, 6})) << "set " << s;
+    }
+
+    // The queues have drained; the same burst again completes the same
+    // way, on recycled queue storage.
+    const std::vector<Done> second = burst();
+    ASSERT_EQ(second.size(), first.size());
+    for (std::size_t i = 0; i < first.size(); ++i) {
+        EXPECT_EQ(second[i].set, first[i].set) << i;
+        EXPECT_EQ(second[i].op, first[i].op) << i;
+        EXPECT_EQ(second[i].latency, first[i].latency) << i;
+        EXPECT_EQ(second[i].version, first[i].version) << i;
+        EXPECT_EQ(second[i].hit, first[i].hit) << i;
+    }
+    EXPECT_EQ(h.sink.calls.pending(), 0u);
 }

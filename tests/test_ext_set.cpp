@@ -135,3 +135,75 @@ TEST(ExtSet, MixedLevelTrafficStaysWithinBudget)
     // Invariant: resident blocks can never exceed the all-high packing.
     EXPECT_LE(set.resident(), set.max_blocks());
 }
+
+namespace {
+
+/**
+ * Drives one set through a fixed seeded mix of inserts (clean and dirty,
+ * every level), read touches and write touches, with time advancing
+ * across many epochs. Lines share low address bits four ways, so a tag
+ * lookup sees both absent and present neighbours. Every return value,
+ * version, level and evicted record, and the final statistics, are
+ * folded into the returned hash.
+ */
+std::uint64_t
+run_fixed_ops(std::uint32_t budget, bool compression, std::uint64_t seed)
+{
+    ExtSet set(budget, compression, 500);
+    Rng rng(seed);
+    std::vector<ExtSet::Evicted> ev;
+    std::uint64_t outcomes = 0;
+    const auto fold = [&](std::uint64_t v) { outcomes = mix64(outcomes ^ v); };
+    Cycle now = 0;
+    for (std::uint64_t i = 1; i <= 20'000; ++i) {
+        const LineAddr line = rng.next_below(64) | (rng.next_below(4) << 8);
+        now += rng.next_below(40);
+        switch (rng.next_below(4)) {
+          case 0:
+          case 1: {
+            std::uint64_t v = 0;
+            CompLevel lvl = CompLevel::kUncompressed;
+            const bool hit = set.touch_read(now, line, v, lvl);
+            fold(hit ? v ^ (static_cast<std::uint64_t>(lvl) << 60) : ~0ULL);
+            break;
+          }
+          case 2:
+            fold(set.touch_write(now, line, i));
+            break;
+          default: {
+            const bool dirty = rng.chance(0.3);
+            // Mostly one level per phase, so repartitions swing the slot
+            // mix and an incoming block can find no compatible slot.
+            const std::uint64_t phase = (i / 2'500) % 3;
+            const auto level = static_cast<CompLevel>(rng.chance(0.98) ? phase : rng.next_below(3));
+            fold(set.insert(now, line, i, dirty, level, ev));
+            for (const auto &e : ev)
+                fold((e.line << 1 | (e.dirty ? 1 : 0)) ^ (e.version << 24));
+            ev.clear();
+            break;
+          }
+        }
+        fold(set.resident());
+    }
+    for (CompLevel level : {CompLevel::kHigh, CompLevel::kLow, CompLevel::kUncompressed})
+        fold(set.insertions(level));
+    fold(set.bypasses());
+    return outcomes;
+}
+
+} // namespace
+
+/**
+ * Pins every op outcome of an uncompressed and a compressed set over a
+ * fixed op sequence, so a change to the tag store or the lookup cannot
+ * silently change hit/miss, version, level, eviction or bypass behaviour.
+ */
+TEST(ExtSet, OpOutcomesArePinned)
+{
+    EXPECT_EQ(run_fixed_ops(kBudget, false, 1), 0x3f2e9876fcf21c0bULL);
+    EXPECT_EQ(run_fixed_ops(kBudget, true, 2), 0x8f1a6cfec19d54b9ULL);
+    // A compressed set smaller than one uncompressed slot: uncompressed
+    // blocks always bypass, and repartitions decide whether the others
+    // fit.
+    EXPECT_EQ(run_fixed_ops(3 * kLineBytes / 4, true, 3), 0x2de3a24b929c57f3ULL);
+}

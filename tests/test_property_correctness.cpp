@@ -193,7 +193,7 @@ TEST(PredictedMissWritePropagation, DirtyBlockBypassingTheSetReachesMemory)
     // line) must fetch the written version, not the pre-write one.
     std::uint64_t seen = ~0ull;
     MemRequest req{line, AccessType::kRead, 0, 0};
-    test::FakeExtSink sink;
+    test::FakeExtSink sink(fabric.eq);
     sm.enqueue_request(fabric.eq.now(), 0, req,
                        sink.done([&](Cycle, std::uint64_t v, bool) { seen = v; }));
     fabric.eq.run();

@@ -222,7 +222,7 @@ TEST(ExactlyOnce, LlcMshrMergedWriters)
 TEST(ExactlyOnce, KernelMergedReaders)
 {
     TestFabric fabric;
-    FakeExtSink sink;
+    FakeExtSink sink(fabric.eq);
     std::vector<std::unique_ptr<LlcPartition>> partitions;
     for (std::uint32_t p = 0; p < fabric.cfg.llc_partitions; ++p)
         partitions.push_back(std::make_unique<LlcPartition>(p, fabric.ctx(), 256, 16, 90, 4, 2));

@@ -170,10 +170,13 @@ class FakeL1Client : public L1Client
     Callbacks<Cycle, std::uint64_t> calls;
 };
 
-/** An ExtSink whose request ids are test callbacks. */
+/** An ExtSink whose request ids are test callbacks, called with the
+ *  completion time read from @p eq. */
 class FakeExtSink : public ExtSink
 {
   public:
+    explicit FakeExtSink(const EventQueue &eq) : eq_(eq) {}
+
     /** A completion target that calls @p fn. */
     ExtDone
     done(std::function<void(Cycle, std::uint64_t, bool)> fn)
@@ -182,12 +185,15 @@ class FakeExtSink : public ExtSink
     }
 
     void
-    ext_done(ReqId id, Cycle when, std::uint64_t version, bool hit) override
+    ext_done(ReqId id, std::uint32_t, std::uint64_t version, bool hit) override
     {
-        calls.fire(id, when, version, hit);
+        calls.fire(id, eq_.now(), version, hit);
     }
 
     Callbacks<Cycle, std::uint64_t, bool> calls;
+
+  private:
+    const EventQueue &eq_;
 };
 
 } // namespace morpheus::test
