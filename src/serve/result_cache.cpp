@@ -1,17 +1,14 @@
 #include "serve/result_cache.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <system_error>
-#include <vector>
 
 #include "harness/config_codec.hpp"
 #include "harness/report.hpp"
@@ -107,17 +104,6 @@ read_file(const std::string &path, std::string &bytes)
     return ok;
 }
 
-/** Sets @p path's access time, the gc eviction order (mtime kept).
- *  Lookup hits set it to now explicitly, so the order does not depend on
- *  the filesystem's atime mount options (relatime would otherwise
- *  coalesce reads). Best-effort. */
-void
-set_atime(const std::string &path, timespec atime)
-{
-    const timespec times[2] = {atime, {0, UTIME_OMIT}};
-    ::utimensat(AT_FDCWD, path.c_str(), times, 0);
-}
-
 bool
 process_alive(unsigned long pid)
 {
@@ -126,60 +112,15 @@ process_alive(unsigned long pid)
     return ::kill(static_cast<pid_t>(pid), 0) == 0 || errno == EPERM;
 }
 
-/** One file of a cache directory, as scan_dir() classifies it. */
-struct CacheFile
+/** The writer pid in a temp file name, @p p pointing just past its
+ *  `.mrce.tmp.` tag (`<pid>.<seq>` follows); 0, which is never alive,
+ *  when the name does not parse. */
+unsigned long
+tmp_writer_pid(const char *p)
 {
-    std::string path;
-    bool tmp = false;       ///< `<016x>.mrce.tmp.<pid>.<seq>`; else a `<016x>.mrce` entry
-    std::uint64_t key = 0;  ///< entries: the key the filename names
-    unsigned long pid = 0;  ///< tmps: the writer's pid; 0 when unparsable (stale)
-    std::uint64_t size = 0;
-    timespec atime{};
-};
-
-/**
- * The one directory scan, and the only code that parses cache file
- * names: every entry and `.tmp.` file that could be stat()ed (files
- * that vanish mid-scan are skipped; other names are ignored). @return
- * false with @p error set when the directory cannot be read.
- */
-bool
-scan_dir(const std::string &dir, std::vector<CacheFile> &files, std::string &error)
-{
-    std::error_code ec;
-    for (const auto &e : std::filesystem::directory_iterator(dir, ec)) {
-        const std::string name = e.path().filename().string();
-        CacheFile f;
-        f.path = e.path().string();
-        const std::size_t tag = name.find(".mrce.tmp.");
-        if (tag != std::string::npos) {
-            f.tmp = true;
-            const char *p = name.c_str() + tag + 10;
-            char *end = nullptr;
-            f.pid = std::strtoul(p, &end, 10);
-            if (end == p || *end != '.')
-                f.pid = 0;
-        } else {
-            // <016x>.mrce, nothing more: the name must be the one
-            // entry_path() gives its key.
-            if (name.size() != 21 || name.compare(16, 5, ".mrce") != 0)
-                continue;
-            f.key = std::strtoull(name.c_str(), nullptr, 16);
-            if (name.compare(0, 16, key_hex(f.key)) != 0)
-                continue;
-        }
-        struct stat st{};
-        if (::stat(f.path.c_str(), &st) != 0)
-            continue; // raced a concurrent removal
-        f.size = static_cast<std::uint64_t>(st.st_size);
-        f.atime = st.st_atim;
-        files.push_back(std::move(f));
-    }
-    if (ec) {
-        error = "cache scan failed: " + ec.message();
-        return false;
-    }
-    return true;
+    char *end = nullptr;
+    const unsigned long pid = std::strtoul(p, &end, 10);
+    return end == p || *end != '.' ? 0 : pid;
 }
 
 } // namespace
@@ -195,13 +136,16 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
     // Sweep temp orphans from writers that died mid-fill — but only
     // *stale* ones (writer pid no longer alive): a shared directory may
     // have a live sibling process mid-write, and reaping its temp file
-    // would turn that store into a spurious miss.
-    std::vector<CacheFile> files;
-    std::string scan_error; // an unreadable directory just sweeps nothing
-    scan_dir(dir_, files, scan_error);
-    for (const CacheFile &f : files) {
-        if (f.tmp && !process_alive(f.pid))
-            std::filesystem::remove(f.path, ec);
+    // would turn that store into a spurious miss. An unreadable
+    // directory just sweeps nothing.
+    static constexpr std::string_view kTmpTag = ".mrce.tmp.";
+    for (const auto &e : std::filesystem::directory_iterator(dir_, ec)) {
+        const std::string name = e.path().filename().string();
+        const std::size_t tag = name.find(kTmpTag);
+        if (tag == std::string::npos ||
+            process_alive(tmp_writer_pid(name.c_str() + tag + kTmpTag.size())))
+            continue;
+        std::filesystem::remove(e.path(), ec);
     }
     ok_ = true;
 }
@@ -213,9 +157,10 @@ ResultCache::entry_path(std::uint64_t key) const
 }
 
 bool
-ResultCache::load(std::uint64_t key, RunResult &out, bool &evicted)
+ResultCache::lookup(std::uint64_t key, RunResult &out)
 {
-    evicted = false;
+    if (!ok_)
+        return false;
     const std::string path = entry_path(key);
     std::string bytes;
     errno = 0;
@@ -227,19 +172,8 @@ ResultCache::load(std::uint64_t key, RunResult &out, bool &evicted)
     if (!read || !validate_entry_bytes(bytes, key, out)) {
         std::remove(path.c_str());
         stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-        evicted = true;
         return false;
     }
-    return true;
-}
-
-bool
-ResultCache::lookup(std::uint64_t key, RunResult &out)
-{
-    bool evicted;
-    if (!ok_ || !load(key, out, evicted))
-        return false;
-    set_atime(entry_path(key), {0, UTIME_NOW}); // hits refresh the gc order
     return true;
 }
 
@@ -264,35 +198,22 @@ ResultCache::store(std::uint64_t key, const RunResult &r)
 
     // Unique temp name (pid + per-process counter) then atomic rename:
     // concurrent fills of one key are last-writer-wins over identical
-    // bytes, and a crash leaves only an ignorable `.tmp.` orphan. The
-    // temp path is registered while the write is in progress so a
-    // concurrent gc() never reaps it (only *stale* temps are fair game).
+    // bytes, and a crash leaves only an ignorable `.tmp.` orphan that
+    // the next open sweeps once this process is gone.
     const std::string path = entry_path(key);
     const std::string tmp = path + ".tmp." +
                             std::to_string(static_cast<unsigned long>(::getpid())) + "." +
                             std::to_string(tmp_seq_.fetch_add(1, std::memory_order_relaxed));
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        active_tmps_.insert(tmp);
-    }
-    const auto deactivate = [&] {
-        std::lock_guard<std::mutex> lock(mu_);
-        active_tmps_.erase(tmp);
-    };
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        deactivate();
+    if (!f)
         return false;
-    }
     const bool wrote = std::fwrite(&h, 1, sizeof h, f) == sizeof h &&
                        std::fwrite(payload.data(), 1, payload.size(), f) == payload.size();
     const bool closed = std::fclose(f) == 0;
     if (!wrote || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
-        deactivate();
         return false;
     }
-    deactivate();
     stats_.stores.fetch_add(1, std::memory_order_relaxed);
     return true;
 }
@@ -313,8 +234,7 @@ ResultCache::get_or_run(const SystemSetup &setup, const WorkloadParams &params,
 
     // Single-flight: first thread in simulates, the rest block here and
     // then read the entry it stored. If the runner threw (or the store
-    // failed), the next waiter finds a miss and simulates itself. While
-    // the key sits in the inflight set, gc() treats its entry as pinned.
+    // failed), the next waiter finds a miss and simulates itself.
     class FlightGuard
     {
       public:
@@ -357,134 +277,6 @@ ResultCache::get_or_run(const SystemSetup &setup, const WorkloadParams &params,
     out = run(); // exceptions propagate; nothing is stored
     store(key, out);
     return out;
-}
-
-CacheUsage
-ResultCache::usage() const
-{
-    CacheUsage u;
-    std::vector<CacheFile> files;
-    std::string error;
-    scan_dir(dir_, files, error); // a failed scan accounts what it saw
-    for (const CacheFile &f : files) {
-        if (f.tmp) {
-            ++u.tmp_count;
-            u.tmp_bytes += f.size;
-        } else {
-            ++u.entry_count;
-            u.entry_bytes += f.size;
-        }
-    }
-    return u;
-}
-
-bool
-ResultCache::evictable(std::uint64_t key)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return inflight_.count(key) == 0;
-}
-
-bool
-ResultCache::gc(std::uint64_t max_bytes, GcResult &out, std::string &error)
-{
-    out = GcResult{};
-    if (!ok_) {
-        error = error_;
-        return false;
-    }
-
-    std::vector<CacheFile> files;
-    if (!scan_dir(dir_, files, error))
-        return false;
-    std::vector<CacheFile> entries;
-    std::uint64_t live_tmp_bytes = 0;
-    for (CacheFile &f : files) {
-        if (!f.tmp) {
-            entries.push_back(std::move(f));
-            continue;
-        }
-        bool active_ours;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            active_ours = active_tmps_.count(f.path) != 0;
-        }
-        const bool ours = f.pid == static_cast<unsigned long>(::getpid());
-        // Reap when the writer is provably gone: a dead process, or our
-        // own pid with no write in progress. A live *foreign* writer
-        // keeps its temp (its bytes still count as kept).
-        if (active_ours || (!ours && process_alive(f.pid))) {
-            live_tmp_bytes += f.size;
-        } else {
-            ++out.reaped_tmp;
-            out.reaped_tmp_bytes += f.size;
-            std::error_code ec;
-            std::filesystem::remove(f.path, ec);
-        }
-    }
-
-    // Oldest access first; the key breaks timestamp ties so the eviction
-    // order is deterministic even on coarse-clock filesystems.
-    std::sort(entries.begin(), entries.end(), [](const CacheFile &a, const CacheFile &b) {
-        if (a.atime.tv_sec != b.atime.tv_sec)
-            return a.atime.tv_sec < b.atime.tv_sec;
-        if (a.atime.tv_nsec != b.atime.tv_nsec)
-            return a.atime.tv_nsec < b.atime.tv_nsec;
-        return a.key < b.key;
-    });
-
-    std::uint64_t total = live_tmp_bytes;
-    for (const CacheFile &e : entries)
-        total += e.size;
-
-    std::size_t i = 0;
-    std::uint64_t pinned = 0;
-    for (; i < entries.size() && total > max_bytes; ++i) {
-        const CacheFile &e = entries[i];
-        if (!evictable(e.key)) {
-            ++pinned; // in-flight fill: never evicted, stays kept
-            continue;
-        }
-        std::error_code rec;
-        const bool removed = std::filesystem::remove(e.path, rec);
-        if (rec)
-            continue; // real I/O error: leave it counted as kept
-        total -= e.size; // gone either way (our eviction, or raced away)
-        if (!removed)
-            continue; // a concurrent lookup evicted it first
-        ++out.evicted_entries;
-        out.evicted_bytes += e.size;
-        stats_.gc_evictions.fetch_add(1, std::memory_order_relaxed);
-    }
-    out.kept_entries = static_cast<std::uint64_t>(entries.size() - i) + pinned;
-    out.kept_bytes = total;
-    return true;
-}
-
-bool
-ResultCache::verify(VerifyResult &out, std::string &error)
-{
-    out = VerifyResult{};
-    if (!ok_) {
-        error = error_;
-        return false;
-    }
-    std::vector<CacheFile> files;
-    if (!scan_dir(dir_, files, error))
-        return false;
-    for (const CacheFile &f : files) {
-        if (f.tmp)
-            continue;
-        RunResult scratch;
-        bool evicted;
-        if (load(f.key, scratch, evicted)) {
-            ++out.verified;
-            set_atime(f.path, f.atime); // undo what the read did (relatime)
-        }
-        else if (evicted)
-            ++out.evicted;
-    }
-    return true;
 }
 
 } // namespace morpheus

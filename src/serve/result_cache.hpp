@@ -23,7 +23,7 @@
  * evicts the entry and reports a miss, never a wrong result
  * (tests/test_result_cache_fuzz.cpp holds this line). The `.mrce` file
  * is the only format: a cache moves by copying its `*.mrce` files,
- * and verify() (or the first lookup) evicts whatever arrived torn.
+ * and the first lookup evicts whatever arrived torn or misnamed.
  */
 
 #include <atomic>
@@ -63,39 +63,6 @@ struct CacheStats
     std::atomic<std::uint64_t> misses{0};     ///< simulated (no valid entry)
     std::atomic<std::uint64_t> stores{0};     ///< entries written
     std::atomic<std::uint64_t> evictions{0};  ///< invalid entries deleted
-    std::atomic<std::uint64_t> gc_evictions{0}; ///< valid entries evicted by gc
-};
-
-/** One directory scan's worth of size accounting. `.tmp.` leftovers are
- *  counted too: they are real bytes on disk, so a byte budget that
- *  ignored them would not be a bound (docs/CACHE_FORMAT.md "Size
- *  accounting and garbage collection"). */
-struct CacheUsage
-{
-    std::uint64_t entry_count = 0;  ///< complete `.mrce` entries
-    std::uint64_t entry_bytes = 0;
-    std::uint64_t tmp_count = 0;    ///< `.tmp.` files (in-progress or orphaned)
-    std::uint64_t tmp_bytes = 0;
-
-    std::uint64_t total_bytes() const { return entry_bytes + tmp_bytes; }
-};
-
-/** What one gc() pass did. */
-struct GcResult
-{
-    std::uint64_t evicted_entries = 0;  ///< valid entries removed (atime order)
-    std::uint64_t evicted_bytes = 0;
-    std::uint64_t reaped_tmp = 0;       ///< stale `.tmp.` files removed
-    std::uint64_t reaped_tmp_bytes = 0;
-    std::uint64_t kept_entries = 0;
-    std::uint64_t kept_bytes = 0;       ///< entry + live tmp bytes remaining
-};
-
-/** What one verify() pass found. */
-struct VerifyResult
-{
-    std::uint64_t verified = 0;  ///< valid entries
-    std::uint64_t evicted = 0;   ///< invalid entries deleted
 };
 
 /**
@@ -127,8 +94,7 @@ class ResultCache : public ResultStore
     /**
      * Loads and fully validates the entry for @p key. @return true and
      * fill @p out on a valid entry; false on absent OR invalid (an
-     * invalid entry is evicted first). Never throws on bad bytes. A hit
-     * bumps the entry's access time, which is the gc() eviction order.
+     * invalid entry is evicted first). Never throws on bad bytes.
      */
     bool lookup(std::uint64_t key, RunResult &out);
 
@@ -140,39 +106,7 @@ class ResultCache : public ResultStore
     RunResult get_or_run(const SystemSetup &setup, const WorkloadParams &params,
                          const std::function<RunResult()> &run, bool *hit = nullptr) override;
 
-    /** Scans the directory and accounts every entry AND `.tmp.` file. */
-    CacheUsage usage() const;
-
-    /**
-     * Garbage-collects down to @p max_bytes total (entries + tmp files):
-     * first reaps stale `.tmp.` leftovers (writer process dead, or our
-     * own pid with no write in progress), then evicts complete entries
-     * in access-time order (oldest first, key as the deterministic
-     * tie-break) until the directory fits the budget. Entries whose key
-     * is in flight (a get_or_run() fill in progress) and tmp files being
-     * actively written are never touched, so gc racing a concurrent fill
-     * is safe (tests/test_cache_gc.cpp). @return false only on scan
-     * errors; an over-budget directory that cannot shrink further (all
-     * survivors in flight / live foreign tmps) still returns true.
-     */
-    bool gc(std::uint64_t max_bytes, GcResult &out, std::string &error);
-
-    /**
-     * Loads and fully validates every entry in place, evicting the
-     * invalid ones exactly as lookup() would, but leaves access times
-     * (the gc() order) alone and writes nothing. @return false only on
-     * a scan error.
-     */
-    bool verify(VerifyResult &out, std::string &error);
-
   private:
-    bool evictable(std::uint64_t key);
-
-    /** lookup() minus the hit bookkeeping: reads and validates the entry
-     *  for @p key; an unreadable or invalid one is evicted (and
-     *  @p evicted set). @return true on a valid entry. */
-    bool load(std::uint64_t key, RunResult &out, bool &evicted);
-
     std::string dir_;
     bool ok_ = false;
     std::string error_;
@@ -181,7 +115,6 @@ class ResultCache : public ResultStore
     std::mutex mu_;
     std::condition_variable cv_;
     std::unordered_set<std::uint64_t> inflight_;
-    std::unordered_set<std::string> active_tmps_; ///< our in-progress writes
     std::atomic<std::uint64_t> tmp_seq_{0};
 };
 

@@ -88,10 +88,11 @@ build_catalog()
 
     // Thrash-and-drop class: per-warp private regions grow the footprint
     // with core count; the drop point matches Table 3's IBL core counts.
-    // Note: the Morpheus compute/cache splits below are re-derived with
-    // this simulator's offline search (as the paper does for its own
-    // simulator, §6 footnote 8); bench/tab03_core_counts compares them
-    // against the paper's published Table 3.
+    // Note: the Morpheus compute/cache splits below are fixed. They are
+    // not the output of this simulator's offline search (§6 footnote 8):
+    // that search, the tab03_core_counts scenario, picks 68 compute SMs
+    // (Morpheus off) for Morpheus-Basic on most memory-bound apps, and
+    // prints its picks next to the paper's published Table 3.
     apps.push_back(make("kmeans", true, PatternKind::kPrivateLoop, 4, 1, 1 * kMiB,
                         6912, 0.15, 0.50, 0.70, 0.30, 0.00, 300'000, 0.35, 0.40, 24, 26, 26));
     apps.push_back(make("histo", true, PatternKind::kHistoAtomic, 4, 1, 2 * kMiB,

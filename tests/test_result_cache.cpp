@@ -4,11 +4,16 @@
  * docs/CACHE_FORMAT.md): key stability and sensitivity, bit-exact
  * round-trips, in-process single-flight (N concurrent requests for one
  * uncached configuration cost one simulation; the CI TSan job runs this
- * binary), sweep integration across worker counts, and crash safety — a
+ * binary), sweep integration across worker counts, crash safety — a
  * writer killed mid-sweep leaves only valid-or-absent entries, and a
- * restart refills the gap with identical results.
+ * restart refills the gap with identical results — stale-tmp reaping at
+ * open, and moving a cache by copying its `*.mrce` files: copies are
+ * byte-identical hits, and a torn or misnamed copy is never served.
  */
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <array>
 #include <atomic>
@@ -71,6 +76,71 @@ class TempCacheDir
   private:
     std::string path_;
 };
+
+std::string
+read_file(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+void
+write_file(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(out.good()) << path;
+}
+
+/** A pid guaranteed dead: fork a child that exits immediately and reap
+ *  it. No other process can hold this pid until the id space wraps. */
+pid_t
+dead_pid()
+{
+    const pid_t child = ::fork();
+    if (child == 0)
+        ::_exit(0);
+    int status = 0;
+    ::waitpid(child, &status, 0);
+    return child;
+}
+
+/** Stores entries for compute_sms = 4, 6, 8, ... and returns their keys
+ *  in store order. */
+std::vector<std::uint64_t>
+fill_cache(ResultCache &cache, int count)
+{
+    std::vector<std::uint64_t> keys;
+    for (int i = 0; i < count; ++i) {
+        SystemSetup setup;
+        setup.compute_sms = 4 + 2 * static_cast<std::uint32_t>(i);
+        const WorkloadParams p = tiny_app("copy");
+        cache.get_or_run(setup, p, [&] { return run_setup(setup, p); });
+        keys.push_back(result_cache_key(setup, p));
+    }
+    return keys;
+}
+
+/** Copies every `*.mrce` file of @p from into @p to (created fresh). */
+void
+copy_entries(const std::string &from, const std::string &to)
+{
+    std::filesystem::create_directories(to);
+    for (const auto &de : std::filesystem::directory_iterator(from)) {
+        if (de.path().extension() == ".mrce")
+            std::filesystem::copy_file(de.path(), to / de.path().filename());
+    }
+}
+
+/** A runner for get_or_run() that must not be reached: the copy hits. */
+RunResult
+must_not_simulate()
+{
+    ADD_FAILURE() << "copied entry missed and re-simulated";
+    return {};
+}
 
 /** The fixed configuration whose content key is pinned below. */
 void
@@ -328,7 +398,9 @@ TEST(ResultCacheConcurrency, DistinctKeysRunConcurrentlyWithoutCrossTalk)
     const auto config = [](int c, SystemSetup &setup, WorkloadParams &p) {
         setup = SystemSetup{};
         setup.compute_sms = 4 + 2 * static_cast<std::uint32_t>(c);
-        p = tiny_app(("d" + std::to_string(c)).c_str());
+        std::string name = "d";
+        name += std::to_string(c);
+        p = tiny_app(name.c_str());
     };
     std::array<std::atomic<int>, kConfigs> simulations{};
     std::vector<RunResult> results(kThreads);
@@ -474,7 +546,8 @@ TEST(ResultCacheCrashDeathTest, KilledSweepLeavesOnlyValidEntries)
     // Add the torn debris a real crash can leave: an orphaned temp file
     // and a truncated entry.
     {
-        std::ofstream tmp(cache_dir + "/deadbeefdeadbeef.mrce.tmp.999.0");
+        std::ofstream tmp(cache_dir + "/deadbeefdeadbeef.mrce.tmp." +
+                          std::to_string(dead_pid()) + ".0");
         tmp << "partial write";
         SystemSetup setup;
         setup.compute_sms = 8;
@@ -520,4 +593,126 @@ TEST(ResultCacheCrashDeathTest, KilledSweepLeavesOnlyValidEntries)
     setup.compute_sms = 8;
     ASSERT_TRUE(cache.lookup(result_cache_key(setup, tiny_app("j2")), out));
     EXPECT_TRUE(run_results_identical(out, expect[2].value));
+}
+
+TEST(ResultCache, OpenReapsStaleTmpsButSparesLiveOnes)
+{
+    TempCacheDir dir("tmps");
+    std::filesystem::create_directories(dir.path());
+
+    // Stale: the writer pid is dead, or the name carries no pid. Live:
+    // pid 1 always exists (kill(1, 0) succeeds, or answers EPERM, which
+    // also means alive).
+    const std::string stale = dir.path() + "/00000000aaaaaaaa.mrce.tmp." +
+                              std::to_string(dead_pid()) + ".0";
+    const std::string unparsable = dir.path() + "/00000000cccccccc.mrce.tmp.x.0";
+    const std::string live = dir.path() + "/00000000bbbbbbbb.mrce.tmp.1.0";
+    write_file(stale, std::string(500, 's'));
+    write_file(unparsable, std::string(200, 'u'));
+    write_file(live, std::string(300, 'l'));
+
+    ResultCache cache(dir.path());
+    ASSERT_TRUE(cache.ok()) << cache.error();
+    EXPECT_FALSE(std::filesystem::exists(stale));
+    EXPECT_FALSE(std::filesystem::exists(unparsable));
+    EXPECT_TRUE(std::filesystem::exists(live));
+    EXPECT_EQ(read_file(live), std::string(300, 'l'));
+}
+
+// ---------------------------------------------------------------------------
+// Moving a cache: copy the `*.mrce` files
+
+TEST(ResultCacheCopy, CopiedEntriesAreByteIdenticalHitsInAFreshDirectory)
+{
+    TempCacheDir src("copy_src"), dst("copy_dst");
+    ResultCache cache(src.path());
+    ASSERT_TRUE(cache.ok()) << cache.error();
+    const std::vector<std::uint64_t> keys = fill_cache(cache, 3);
+    copy_entries(src.path(), dst.path());
+
+    ResultCache copy(dst.path());
+    ASSERT_TRUE(copy.ok()) << copy.error();
+    for (int i = 0; i < 3; ++i) {
+        const std::uint64_t key = keys[static_cast<std::size_t>(i)];
+        EXPECT_EQ(read_file(copy.entry_path(key)), read_file(cache.entry_path(key)))
+            << "entry " << std::hex << key;
+        RunResult original, copied;
+        ASSERT_TRUE(cache.lookup(key, original));
+        ASSERT_TRUE(copy.lookup(key, copied));
+        EXPECT_TRUE(run_results_identical(original, copied));
+
+        SystemSetup setup;
+        setup.compute_sms = 4 + 2 * static_cast<std::uint32_t>(i);
+        bool hit = false;
+        copy.get_or_run(setup, tiny_app("copy"), must_not_simulate, &hit);
+        EXPECT_TRUE(hit);
+    }
+    EXPECT_EQ(copy.stats().hits.load(), 3u);
+    EXPECT_EQ(copy.stats().evictions.load(), 0u);
+}
+
+TEST(ResultCacheCopy, CopiedEntryWithAFlippedByteIsNeverServed)
+{
+    TempCacheDir src("flip_src"), dst("flip_dst");
+    ResultCache cache(src.path());
+    ASSERT_TRUE(cache.ok()) << cache.error();
+    const std::vector<std::uint64_t> keys = fill_cache(cache, 3);
+    copy_entries(src.path(), dst.path());
+    ResultCache copy(dst.path());
+    ASSERT_TRUE(copy.ok()) << copy.error();
+    for (const std::uint64_t key : {keys[0], keys[1]}) {
+        std::string bytes = read_file(copy.entry_path(key));
+        bytes[bytes.size() - 5] ^= 0x40; // a payload byte
+        write_file(copy.entry_path(key), bytes);
+    }
+
+    // The intact copy is served; lookup() evicts a torn one and misses.
+    RunResult out;
+    ASSERT_TRUE(copy.lookup(keys[2], out));
+    EXPECT_TRUE(std::filesystem::exists(copy.entry_path(keys[1])));
+    EXPECT_FALSE(copy.lookup(keys[1], out));
+    EXPECT_FALSE(std::filesystem::exists(copy.entry_path(keys[1])));
+    EXPECT_EQ(copy.stats().evictions.load(), 1u);
+
+    // get_or_run() evicts the other torn copy too, and both re-simulate
+    // to the original bytes.
+    for (int i = 0; i < 2; ++i) {
+        const std::uint64_t key = keys[static_cast<std::size_t>(i)];
+        SystemSetup setup;
+        setup.compute_sms = 4 + 2 * static_cast<std::uint32_t>(i);
+        const WorkloadParams p = tiny_app("copy");
+        bool hit = true;
+        const RunResult fresh =
+            copy.get_or_run(setup, p, [&] { return run_setup(setup, p); }, &hit);
+        EXPECT_FALSE(hit) << "entry " << i;
+        RunResult original;
+        ASSERT_TRUE(cache.lookup(key, original));
+        EXPECT_TRUE(run_results_identical(fresh, original));
+        EXPECT_EQ(read_file(copy.entry_path(key)), read_file(cache.entry_path(key)));
+    }
+    EXPECT_EQ(copy.stats().evictions.load(), 2u);
+    EXPECT_EQ(copy.stats().misses.load(), 2u);
+}
+
+TEST(ResultCacheCopy, CopiedEntryUnderAnotherKeysNameIsNeverServed)
+{
+    TempCacheDir src("rename_src"), dst("rename_dst");
+    ResultCache cache(src.path());
+    ASSERT_TRUE(cache.ok()) << cache.error();
+    const std::vector<std::uint64_t> keys = fill_cache(cache, 3);
+
+    // Two valid entries copied under each other's names, one in place.
+    ResultCache copy(dst.path());
+    ASSERT_TRUE(copy.ok()) << copy.error();
+    std::filesystem::copy_file(cache.entry_path(keys[0]), copy.entry_path(keys[1]));
+    std::filesystem::copy_file(cache.entry_path(keys[1]), copy.entry_path(keys[0]));
+    std::filesystem::copy_file(cache.entry_path(keys[2]), copy.entry_path(keys[2]));
+
+    RunResult out;
+    for (const std::uint64_t key : {keys[1], keys[0]}) {
+        EXPECT_FALSE(copy.lookup(key, out)) << std::hex << key;
+        EXPECT_FALSE(std::filesystem::exists(copy.entry_path(key))) << std::hex << key;
+    }
+    EXPECT_EQ(copy.stats().evictions.load(), 2u);
+    EXPECT_TRUE(copy.lookup(keys[2], out));
 }
